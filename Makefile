@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast smoke serve-smoke crash-test bench bench-primitives bench-gateway bench-tables perf-report examples lint analyze typecheck check clean
+.PHONY: install test test-fast smoke serve-smoke crash-test bench bench-primitives bench-gateway bench-tables perfbench perf-report examples lint analyze typecheck check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -85,6 +85,12 @@ bench-primitives:
 bench-gateway:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py \
 		--rounds 3 --max-tags 256
+
+# The gateway benchmark declared in BENCHMARK.json: every workload,
+# end-to-end metrics printed by name (perfbench/README.md).  The
+# target shares the directory's name, hence .PHONY.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload all
 
 # Timers/counters/cache hit-rates of one representative experiment.
 perf-report:

@@ -21,6 +21,7 @@ from repro.types import FloatArray, Hertz, Seconds, Volts
 from scipy import signal as sp_signal
 
 from repro.core.rectifier import RectifierOutput
+from repro.phy import filters
 
 __all__ = ["Adc", "AdcCapture"]
 
@@ -73,15 +74,16 @@ class Adc:
         """
         cutoff = 0.4 * self.sample_rate
         nyq = analog.sample_rate / 2.0
-        if not self.antialias or cutoff >= nyq:
+        if not self.antialias or cutoff >= nyq or not analog.voltage.size:
             return analog.voltage
-        sos = sp_signal.butter(4, cutoff / nyq, output="sos")
+        # The design depends only on the normalized cutoff, so it is
+        # memoized rather than redone per capture.
+        sos, zi = filters.butter_lowpass(4, cutoff / nyq)
         # Start the filter in steady state at the first sample's level
         # so the capture window is not polluted by a startup ramp.
-        zi = sp_signal.sosfilt_zi(sos) * analog.voltage[0] if analog.voltage.size else None
-        if zi is None:
-            return analog.voltage
-        filtered, _ = sp_signal.sosfilt(sos, analog.voltage, zi=zi)
+        filtered, _ = sp_signal.sosfilt(
+            sos, analog.voltage, zi=zi * analog.voltage[0]
+        )
         return filtered
 
     def capture(

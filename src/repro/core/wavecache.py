@@ -115,11 +115,12 @@ def register_functools_cache(name: str, wrapper: Any) -> None:
 
 def _register_phy_caches() -> None:
     """Register the PHY-module lru_caches (idempotent, import-lazy)."""
-    from repro.phy import bits, wifi_b, wifi_n
+    from repro.phy import bits, filters, wifi_b, wifi_n
 
     for name, fn in (
         ("phy.bits.lfsr_cycle", bits._lfsr_cycle),
         ("phy.bits.ble_whiten_cycle", bits._ble_whiten_cycle),
+        ("phy.filters.butter_lowpass", filters._design),
         ("phy.wifi_b.cached_head", wifi_b._cached_head),
         ("phy.wifi_n.l_stf", wifi_n._l_stf),
         ("phy.wifi_n.l_ltf", wifi_n._l_ltf),

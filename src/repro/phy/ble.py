@@ -23,6 +23,7 @@ from repro import perf
 from repro.core import contracts
 from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
+from repro.phy import filters
 from repro.phy import pulse
 from repro.phy.batch import run_grouped
 from repro.phy.protocols import Protocol
@@ -214,7 +215,7 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
         from scipy import signal as sp_signal
 
         cutoff = 0.7 / sps  # ~0.7 x symbol rate, normalized to Nyquist
-        sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
+        sos, _ = filters.butter_lowpass(4, 2.0 * cutoff)
         # Zero-phase filtering keeps the symbol grid aligned (a real
         # receiver compensates the filter's group delay in its timing
         # recovery).
@@ -378,7 +379,7 @@ def _demodulate_group(
         from scipy import signal as sp_signal
 
         cutoff = 0.7 / sps
-        sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
+        sos, _ = filters.butter_lowpass(4, 2.0 * cutoff)
         if iq.shape[1] > 24:
             iq = sp_signal.sosfiltfilt(sos, iq, axis=-1)
 

@@ -160,6 +160,17 @@ def _build_block_tables() -> tuple[
 
 
 _BMTAB, _G12, _G34, _SRC, _BITS, _IDX_DC = _build_block_tables()
+# Every block sum is at most 2 * _K = 8, so the scalar decoder's
+# per-chunk gathers can use int8 copies (a quarter of the bytes).
+_G12_I8 = _G12.astype(np.int8)
+_G34_I8 = _G34.astype(np.int8)
+# Blocks per branch-sum chunk in the scalar decoder: bounds its working
+# set to a (64, 64, 16) int8 tensor whatever the frame length.
+_CHUNK = 64
+# Below this many streams ``decode_batch`` loops over the scalar
+# decoder: the loop is ~8x faster at B=1 and the two break even near
+# B=16 (measured crossover table in docs/PERFORMANCE.md).
+_BATCH_MIN = 16
 
 _SRC0 = _PREV[:, 0, 0]
 _BIT0 = _PREV[:, 0, 1]
@@ -222,16 +233,23 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
 
     metrics = np.full(_N_STATES, 1 << 28, dtype=np.int32)
     metrics[0] = 0
-    surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
+    surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.uint8)
     states = np.arange(_N_STATES)
 
-    if n_blocks:
-        pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
-        block_bm = _G12[pt[:, 0] * 9 + pt[:, 1]] + np.repeat(
-            _G34[pt[:, 2] * 9 + pt[:, 3]], 4, axis=2
-        )
-        for nblk in range(n_blocks):
-            cand = metrics[_SRC] + block_bm[nblk]
+    pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
+    i12 = pt[:, 0] * 9 + pt[:, 1]
+    i34 = pt[:, 2] * 9 + pt[:, 3]
+    for start in range(0, n_blocks, _CHUNK):
+        stop = min(start + _CHUNK, n_blocks)
+        # ``repeat(g34, 4)[..., j] == g34[..., j // 4]``, so a broadcast
+        # add over a (64, 4, 4) view gives the same exact int8 sums.
+        g12 = _G12_I8[i12[start:stop]]  # (chunk, 64, 16)
+        g34 = _G34_I8[i34[start:stop]]  # (chunk, 64, 4)
+        block_bm = (
+            g12.reshape(-1, _N_STATES, 4, 4) + g34[:, :, :, None]
+        ).reshape(-1, _N_STATES, 16)
+        for nblk in range(start, stop):
+            cand = metrics[_SRC] + block_bm[nblk - start]
             cidx = cand.argmin(axis=1)
             surv_blocks[nblk] = cidx
             metrics = cand[states, cidx]
@@ -420,14 +438,19 @@ def decode_batch(
     """Hard-decision decode of N equal-length coded streams at once.
 
     Semantically identical to ``[decode(c, n_info=n_info) for c in
-    coded_batch]`` -- the ACS recursion advances all N trellises per
-    block step, and because every quantity is integer the batched path
-    is *bit-identical* to the scalar loop (``argmin`` keeps the same
-    first-occurrence tie rule along the candidate axis).
+    coded_batch]``, and below ``_BATCH_MIN`` streams it is exactly
+    that loop.  From ``_BATCH_MIN`` up the ACS recursion advances all N
+    trellises per block step, and because every quantity is integer the
+    batched path is *bit-identical* to the scalar loop (``argmin`` keeps
+    the same first-occurrence tie rule along the candidate axis).
     """
     xp = get_backend().xp
     arr = _stack_batch(coded_batch, np.dtype(np.uint8), "viterbi.decode_batch")
     n_batch = arr.shape[0]
+    if n_batch < _BATCH_MIN:
+        # Small batches: the scalar loop is faster, and it records its
+        # own (scalar) dispatches.
+        return [decode(row, n_info=n_info) for row in arr]
     perf.dispatch("viterbi.decode", n_batch, batched=True)
     if arr.shape[1] % 2:
         pad = xp.full((n_batch, 1), ERASURE, dtype=np.uint8)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.core.adc import Adc
 from repro.core.matching import score_capture, score_capture_batch
 from repro.core.templates import TemplateBank
@@ -164,6 +165,41 @@ class TestViterbiBatch:
     def test_ragged_batch_raises(self):
         with pytest.raises(ValueError, match="mixed lengths"):
             viterbi.decode_batch([np.zeros(4, np.uint8), np.zeros(6, np.uint8)])
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_batch=st.sampled_from([1, 15, 16, 17]),
+        n_coded=st.integers(0, 700),
+        p_erase=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_dispatch_choice_never_changes_a_bit(
+        self, n_batch, n_coded, p_erase, seed
+    ):
+        # B=1 and B=15 take the scalar loop, B=16 and B=17 the batched
+        # ACS; odd lengths cover the erasure padding, p_erase=1.0 the
+        # all-tie trellis.
+        assert viterbi._BATCH_MIN == 16
+        rng = np.random.default_rng(seed)
+        streams = rng.integers(0, 2, (n_batch, n_coded)).astype(np.uint8)
+        streams[rng.random(streams.shape) < p_erase] = viterbi.ERASURE
+        got = viterbi.decode_batch(list(streams))
+        want = [viterbi.decode(s) for s in streams]
+        assert len(got) == n_batch
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_small_batches_count_as_scalar_dispatches(self):
+        stream = self._noisy_stream(np.random.default_rng(9), 50)[0]
+        perf.reset()
+        try:
+            viterbi.decode_batch([stream] * 15)
+            assert perf.counters()["dispatch.viterbi.decode.scalar"] == 15
+            assert "dispatch.viterbi.decode.batched" not in perf.counters()
+            viterbi.decode_batch([stream] * 16)
+            assert perf.counters()["dispatch.viterbi.decode.batched"] == 1
+            assert perf.batch_histograms()["viterbi.decode"] == {1: 15, 16: 1}
+        finally:
+            perf.reset()
 
 
 class TestMatcherBatch:

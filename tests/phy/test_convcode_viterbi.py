@@ -1,5 +1,7 @@
 """Tests for the BCC encoder, Viterbi decoder, and interleavers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,22 @@ class TestViterbi:
 
     def test_empty_input(self):
         assert viterbi.decode(np.zeros(0, np.uint8)).size == 0
+
+
+class TestViterbiFootprint:
+    def test_full_frame_decode_memory_is_bounded(self):
+        # A 2444-bit stream is a 300-byte 802.11n MCS0 frame; building
+        # all of its block branch sums at once would peak near 6 MiB.
+        rng = np.random.default_rng(3)
+        coded = convcode.encode(rng.integers(0, 2, 2444).astype(np.uint8))
+        viterbi.decode(coded)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            viterbi.decode(coded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestInterleavers:

@@ -63,6 +63,30 @@ class TestViterbi:
                 viterbi.decode(noisy, n_info=n), ref.viterbi_decode(noisy, n_info=n)
             )
 
+    # Info bits of a 300-byte PSDU at 802.11n MCS0 (16 service + 2400
+    # data + 6 tail bits, padded to whole 26-bit symbols): long enough
+    # to span several of the scalar decoder's 64-block chunks.
+    MCS0_FRAME_BITS = 2444
+
+    def test_hard_decode_full_frame(self):
+        rng = np.random.default_rng(23)
+        n = self.MCS0_FRAME_BITS
+        for trial in range(2):
+            info = rng.integers(0, 2, n).astype(np.uint8)
+            noisy = ref.convcode_encode(info)
+            noisy[rng.random(noisy.size) < 0.04] ^= 1
+            noisy[rng.random(noisy.size) < 0.08] = convcode.ERASURE
+            got = viterbi.decode(noisy, n_info=n)
+            want = ref.viterbi_decode(noisy, n_info=n)
+            assert np.array_equal(got, want), f"trial {trial}"
+
+    def test_hard_decode_full_frame_tie_breaking(self):
+        n = self.MCS0_FRAME_BITS
+        noisy = np.full(2 * n, convcode.ERASURE, dtype=np.uint8)
+        assert np.array_equal(
+            viterbi.decode(noisy, n_info=n), ref.viterbi_decode(noisy, n_info=n)
+        )
+
     def test_soft_decode_decisions_identical(self):
         rng = np.random.default_rng(31)
         for trial in range(30):
