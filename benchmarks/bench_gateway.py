@@ -102,10 +102,10 @@ WORKER_DECODE_BATCH = 4
 N_PACKETS = 48
 WARMUP_PACKETS = 8
 
-#: Rounds per sweep point.  The recorded statistic is the best round
-#: (same convention as the e2e throughput bench): scheduler hiccups
-#: only ever inflate a p99, never shrink it, so min-over-rounds is the
-#: noise-robust estimate a regression gate can trust.
+#: Rounds per sweep point.  The recorded point is the round with the
+#: lowest p99, every figure taken from that one round: scheduler
+#: hiccups only ever inflate a p99, never shrink it, so min-over-rounds
+#: is the noise-robust estimate a regression gate can trust.
 N_ROUNDS = 3
 
 SEED = 20260807
@@ -187,9 +187,7 @@ def _best_of_rounds(
         )
         for _ in range(rounds)
     ]
-    best = min(results, key=lambda r: r["p99_latency_s"])
-    best["packets_per_s"] = max(r["packets_per_s"] for r in results)
-    return best
+    return min(results, key=lambda r: r["p99_latency_s"])
 
 
 def _tag_points(rounds: int, max_tags: int) -> tuple[list[dict[str, float]], bool]:

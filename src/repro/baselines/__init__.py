@@ -11,6 +11,5 @@ between the two receivers.
 from repro.baselines.codeword import TwoReceiverDecoder, xor_decode
 from repro.baselines.hitchhike import Hitchhike
 from repro.baselines.freerider import FreeRider
-from repro.baselines.xtandem import XTandem
 
-__all__ = ["TwoReceiverDecoder", "xor_decode", "Hitchhike", "FreeRider", "XTandem"]
+__all__ = ["TwoReceiverDecoder", "xor_decode", "Hitchhike", "FreeRider"]

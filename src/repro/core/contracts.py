@@ -280,15 +280,6 @@ def parse_shape_spec(spec: str) -> ShapeSpec:
     return ShapeSpec(args=tuple(args), out_dims=out_dims)
 
 
-def _parse_spec(spec: str) -> tuple[list[list[str]], list[str] | None]:
-    """Historical tuple form of :func:`parse_shape_spec` (kept for tests)."""
-    parsed = parse_shape_spec(spec)
-    return (
-        [list(a.dims) for a in parsed.args],
-        list(parsed.out_dims) if parsed.out_dims is not None else None,
-    )
-
-
 def _check_dims(
     dims: Sequence[str],
     shape: tuple[int, ...],

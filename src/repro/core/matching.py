@@ -22,7 +22,6 @@ import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.core.templates import TemplateBank
 from repro.phy.batch import run_grouped
 from repro.phy.protocols import Protocol
@@ -161,8 +160,6 @@ def _score_group(
     offsets: tuple[int, ...],
 ) -> list[dict[Protocol, float]]:
     """Sliding correlation for one group of equal-length captures."""
-    backend = get_backend()
-    xp = backend.xp
     n_batch = len(arrays)
     perf.dispatch("matching.score_capture", n_batch, batched=True)
 
@@ -173,40 +170,39 @@ def _score_group(
     if not valid:
         return [{p: -1.0 for p in bank.templates} for _ in range(n_batch)]
 
-    arr = xp.stack([backend.asarray(a) for a in arrays])
+    arr = np.stack(arrays)
     off = np.asarray(valid)
-    win = np.lib.stride_tricks.sliding_window_view(np.asarray(arr), l_p + l_m, axis=1)
+    win = np.lib.stride_tricks.sliding_window_view(arr, l_p + l_m, axis=1)
     # ascontiguousarray: the fancy-indexed offset rows come back with a
     # strided layout whose reductions sum in a different order than the
     # scalar path's contiguous copies.
-    sel = xp.ascontiguousarray(win[:, off])  # (n_batch, n_offsets, l_p + l_m)
+    sel = np.ascontiguousarray(win[:, off])  # (n_batch, n_offsets, l_p + l_m)
     window = sel[:, :, l_p:]
     if quantized:
         pre = sel[:, :, :l_p]
         dc = pre[:, :, l_p // 2 :].mean(axis=2, keepdims=True)
-        q = xp.where(window - dc >= 0.0, 1.0, -1.0)
+        q = np.where(window - dc >= 0.0, 1.0, -1.0)
         protocols, mat = bank.stacked(quantized=True)
         best = (q @ mat.T).max(axis=1) / l_m  # (n_batch, n_protocols)
     else:
         protocols, mat = bank.stacked(quantized=False)
         raw = window @ mat.T  # (n_batch, n_offsets, n_protocols)
-        zero = xp.zeros((n_batch, 1))
-        c1 = xp.concatenate([zero, xp.cumsum(arr, axis=1)], axis=1)
-        c2 = xp.concatenate([zero, xp.cumsum(arr * arr, axis=1)], axis=1)
+        zero = np.zeros((n_batch, 1))
+        c1 = np.concatenate([zero, np.cumsum(arr, axis=1)], axis=1)
+        c2 = np.concatenate([zero, np.cumsum(arr * arr, axis=1)], axis=1)
         s = c1[:, off + l_p + l_m] - c1[:, off + l_p]
         ss = c2[:, off + l_p + l_m] - c2[:, off + l_p]
         mean = s / l_m
-        norm = xp.sqrt(xp.maximum(ss - s * mean, 0.0))
-        norm = xp.where(norm <= 1e-12, 1.0, norm)
+        norm = np.sqrt(np.maximum(ss - s * mean, 0.0))
+        norm = np.where(norm <= 1e-12, 1.0, norm)
         tsum = mat.sum(axis=1)
         best = (
             (raw - mean[:, :, None] * tsum[None, None, :]) / norm[:, :, None]
         ).max(axis=1)
-    best_np = backend.to_numpy(best)
     results = []
     for b in range(n_batch):
         scores: dict[Protocol, float] = {p: -1.0 for p in bank.templates}
-        for p, v in zip(protocols, best_np[b]):
+        for p, v in zip(protocols, best[b]):
             scores[p] = float(v)
         results.append(scores)
     return results

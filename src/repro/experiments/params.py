@@ -172,12 +172,7 @@ class ValidationBerParams:
 
 @dataclass(frozen=True)
 class Table2Params:
-    """FPGA resource comparison for identification.
-
-    ``template_size_samples`` replaced the unit-ambiguous
-    ``template_size`` field; the registry still accepts the old name as
-    a deprecated override key.
-    """
+    """FPGA resource comparison for identification."""
 
     template_size_samples: int = 120
 

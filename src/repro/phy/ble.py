@@ -21,7 +21,6 @@ import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import filters
 from repro.phy import pulse
@@ -302,7 +301,6 @@ def _modulate_group(
 ) -> list[Waveform]:
     n_batch = len(group)
     perf.dispatch("ble.modulate", n_batch, batched=True)
-    xp = get_backend().xp
     bits = np.stack([f[0] for f in group])  # (B, n_bits)
     _, payload_bit, n_payload_bits, whitened = group[0]
     sps = cfg.samples_per_symbol
@@ -320,10 +318,10 @@ def _modulate_group(
         2.0
         * np.pi
         * cfg.freq_deviation_hz
-        * xp.cumsum(shaped, axis=1)
+        * np.cumsum(shaped, axis=1)
         / cfg.sample_rate
     )
-    iq = xp.exp(1j * phase)
+    iq = np.exp(1j * phase)
     ann = _annotations(cfg, bits.shape[1], payload_bit, n_payload_bits, whitened)
     return [
         Waveform(iq=iq[b].copy(), sample_rate=cfg.sample_rate, annotations=dict(ann))
@@ -367,13 +365,12 @@ def demodulate_batch(
 def _demodulate_group(
     waves: list[Waveform], *, dewhiten: bool
 ) -> list[BleDecodeResult]:
-    xp = get_backend().xp
     n_batch = len(waves)
     perf.dispatch("ble.demodulate", n_batch, batched=True)
     ann = waves[0].annotations
     sps = int(ann["samples_per_symbol"])
     n_bits = int(ann["n_frame_bits"])
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
+    iq = np.stack([w.iq for w in waves])  # (B, n_samples)
 
     if sps >= 4:
         from scipy import signal as sp_signal
@@ -383,17 +380,17 @@ def _demodulate_group(
         if iq.shape[1] > 24:
             iq = sp_signal.sosfiltfilt(sos, iq, axis=-1)
 
-    dphi = xp.angle(iq[:, 1:] * xp.conj(iq[:, :-1]))
-    dphi = xp.concatenate([xp.zeros((n_batch, 1)), dphi], axis=1)
+    dphi = np.angle(iq[:, 1:] * np.conj(iq[:, :-1]))
+    dphi = np.concatenate([np.zeros((n_batch, 1)), dphi], axis=1)
 
     n_pre_bits = int(ann.get("n_preamble_bits", 8))
     pre = dphi[:, : n_pre_bits * sps]
-    dc = pre.mean(axis=1) if pre.shape[1] else xp.zeros(n_batch)
+    dc = pre.mean(axis=1) if pre.shape[1] else np.zeros(n_batch)
     dphi = dphi - dc[:, None]
 
     need = n_bits * sps
     if dphi.shape[1] < need:
-        dphi = xp.pad(dphi, ((0, 0), (0, need - dphi.shape[1])))
+        dphi = np.pad(dphi, ((0, 0), (0, need - dphi.shape[1])))
     core = dphi[:, :need].reshape(n_batch, n_bits, sps)[
         :, :, sps // 4 : sps - sps // 4
     ]

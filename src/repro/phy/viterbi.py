@@ -27,7 +27,6 @@ import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy.batch import require_batch
 from repro.phy.convcode import CONSTRAINT, ERASURE, G0, G1
 from repro.types import BitArray
@@ -444,7 +443,6 @@ def decode_batch(
     batched path is *bit-identical* to the scalar loop (``argmin`` keeps
     the same first-occurrence tie rule along the candidate axis).
     """
-    xp = get_backend().xp
     arr = _stack_batch(coded_batch, np.dtype(np.uint8), "viterbi.decode_batch")
     n_batch = arr.shape[0]
     if n_batch < _BATCH_MIN:
@@ -453,8 +451,8 @@ def decode_batch(
         return [decode(row, n_info=n_info) for row in arr]
     perf.dispatch("viterbi.decode", n_batch, batched=True)
     if arr.shape[1] % 2:
-        pad = xp.full((n_batch, 1), ERASURE, dtype=np.uint8)
-        arr = xp.concatenate([arr, pad], axis=1)
+        pad = np.full((n_batch, 1), ERASURE, dtype=np.uint8)
+        arr = np.concatenate([arr, pad], axis=1)
     n_steps = arr.shape[1] // 2
     if n_info is None:
         n_info = n_steps
@@ -467,7 +465,7 @@ def decode_batch(
     n_blocks = n_steps // _K
     rem = n_steps - n_blocks * _K
 
-    metrics = xp.full((n_batch, _N_STATES), 1 << 28, dtype=np.int32)
+    metrics = np.full((n_batch, _N_STATES), 1 << 28, dtype=np.int32)
     metrics[:, 0] = 0
     # Entry metrics per block, for the lazy traceback; no survivor
     # indices are stored, so the forward ACS is add + min only.
@@ -498,7 +496,7 @@ def decode_batch(
             # not.
             new = metrics[:, _SRC[:, 0]] + g12[:, :, 0] + g34[:, :, 0]
             for j in range(1, 16):
-                xp.minimum(
+                np.minimum(
                     new,
                     metrics[:, _SRC[:, j]] + g12[:, :, j] + g34[:, :, j >> 2],
                     out=new,
@@ -511,8 +509,8 @@ def decode_batch(
         cand0 = metrics[:, _SRC0] + bm[:, _BM0]
         cand1 = metrics[:, _SRC1] + bm[:, _BM1]
         take1 = cand1 < cand0
-        metrics = xp.where(take1, cand1, cand0)
-        surv_tail[:, i] = xp.where(take1, _PACK1, _PACK0)
+        metrics = np.where(take1, cand1, cand0)
+        surv_tail[:, i] = np.where(take1, _PACK1, _PACK0)
 
     return _traceback_batch_hard(
         metrics, mprev, i12, i34, surv_tail, n_steps, n_info
@@ -532,14 +530,13 @@ def decode_soft_batch(
     like the scalar blocked recursion (only a leading batch axis is
     added), so even the path-metric epsilons match.
     """
-    xp = get_backend().xp
     arr = _stack_batch(
         llrs_batch, np.dtype(np.float64), "viterbi.decode_soft_batch"
     )
     n_batch = arr.shape[0]
     perf.dispatch("viterbi.decode_soft", n_batch, batched=True)
     if arr.shape[1] % 2:
-        arr = xp.concatenate([arr, xp.zeros((n_batch, 1))], axis=1)
+        arr = np.concatenate([arr, np.zeros((n_batch, 1))], axis=1)
     n_steps = arr.shape[1] // 2
     if n_info is None:
         n_info = n_steps
@@ -557,7 +554,7 @@ def decode_soft_batch(
     n_blocks = n_steps // _K
     rem = n_steps - n_blocks * _K
 
-    metrics = xp.full((n_batch, _N_STATES), 1e18)
+    metrics = np.full((n_batch, _N_STATES), 1e18)
     metrics[:, 0] = 0.0
     surv_blocks = np.empty((n_batch, n_blocks, _N_STATES), dtype=np.intp)
     rows = np.arange(n_batch)[:, None]
@@ -594,7 +591,7 @@ def decode_soft_batch(
         cand0 = metrics[:, _SRC0] + bm[:, _BM0]
         cand1 = metrics[:, _SRC1] + bm[:, _BM1]
         take1 = cand1 < cand0
-        metrics = xp.where(take1, cand1, cand0)
-        surv_tail[:, i] = xp.where(take1, _PACK1, _PACK0)
+        metrics = np.where(take1, cand1, cand0)
+        surv_tail[:, i] = np.where(take1, _PACK1, _PACK0)
 
     return _traceback_batch(metrics, surv_blocks, surv_tail, n_steps, n_info)

@@ -8,7 +8,6 @@ type: DSP transforms return new instances.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -64,16 +63,6 @@ class Waveform:
         """Length in seconds."""
         return self.iq.size / self.sample_rate
 
-    @property
-    def duration(self) -> Seconds:
-        """Deprecated alias of :attr:`duration_s`."""
-        warnings.warn(
-            "Waveform.duration is deprecated; use Waveform.duration_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.duration_s
-
     def times(self) -> FloatArray:
         """Per-sample timestamps in seconds."""
         return np.arange(self.iq.size) / self.sample_rate
@@ -110,27 +99,8 @@ class Waveform:
             annotations=dict(self.annotations),
         )
 
-    def resampled(
-        self,
-        new_rate_hz: Hertz | None = None,
-        *,
-        new_rate: float | None = None,  # reproflow: disable=U004
-    ) -> "Waveform":
-        """Polyphase-resample to ``new_rate_hz``.
-
-        ``new_rate=`` is a deprecated alias of ``new_rate_hz=``.
-        """
-        if new_rate is not None:
-            warnings.warn(
-                "Waveform.resampled(new_rate=...) is deprecated; "
-                "use new_rate_hz=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if new_rate_hz is None:
-                new_rate_hz = new_rate
-        if new_rate_hz is None:
-            raise TypeError("resampled() missing required argument 'new_rate_hz'")
+    def resampled(self, new_rate_hz: Hertz) -> "Waveform":
+        """Polyphase-resample to ``new_rate_hz``."""
         if new_rate_hz <= 0:
             raise ValueError("new_rate_hz must be positive")
         if abs(new_rate_hz - self.sample_rate) < 1e-9:

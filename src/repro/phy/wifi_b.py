@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import pulse
 from repro.phy.batch import run_grouped
@@ -614,7 +612,6 @@ def modulate_batch(
 def _modulate_group(
     bits_group: list[np.ndarray], cfg: WifiBConfig, *, scrambled_domain: bool
 ) -> list[Waveform]:
-    xp = get_backend().xp
     n_batch = len(bits_group)
     perf.dispatch("wifi_b.modulate", n_batch, batched=True)
     head_chips, last_phase, scr_state, n_head = _cached_head(
@@ -633,10 +630,10 @@ def _modulate_group(
     tenths = cfg.rate_tenths
     if tenths == 10:
         psdu_bits = np.stack(psdu_rows)
-        phases = last_phase + xp.cumsum(
-            xp.where(psdu_bits == 1, np.pi, 0.0), axis=1
+        phases = last_phase + np.cumsum(
+            np.where(psdu_bits == 1, np.pi, 0.0), axis=1
         )
-        psdu_chips = _barker_chips_batch(phases, xp)
+        psdu_chips = _barker_chips_batch(phases)
         chips_per_symbol = 11
     elif tenths == 20:
         if psdu_rows[0].size % 2:
@@ -646,8 +643,8 @@ def _modulate_group(
         psdu_bits = np.stack(psdu_rows)
         pairs = psdu_bits.reshape(n_batch, -1, 2)
         increments = _DQPSK_PHASE_LUT[2 * pairs[:, :, 0] + pairs[:, :, 1]]
-        phases = last_phase + xp.cumsum(increments, axis=1)
-        psdu_chips = _barker_chips_batch(phases, xp)
+        phases = last_phase + np.cumsum(increments, axis=1)
+        psdu_chips = _barker_chips_batch(phases)
         chips_per_symbol = 11
     elif tenths == 55:
         pad = (-psdu_rows[0].size) % 4
@@ -658,13 +655,13 @@ def _modulate_group(
             ]
         psdu_bits = np.stack(psdu_rows)
         d = psdu_bits.reshape(n_batch, -1, 4)
-        phi1 = last_phase + xp.cumsum(
+        phi1 = last_phase + np.cumsum(
             _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
         )
         phi2 = np.pi / 2 + d[:, :, 2] * np.pi
-        phi3 = xp.zeros(d.shape[:2])
+        phi3 = np.zeros(d.shape[:2])
         phi4 = d[:, :, 3] * np.pi
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4, xp).reshape(
+        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4).reshape(
             n_batch, -1
         )
         chips_per_symbol = 8
@@ -677,13 +674,13 @@ def _modulate_group(
             ]
         psdu_bits = np.stack(psdu_rows)
         d = psdu_bits.reshape(n_batch, -1, 8)
-        phi1 = last_phase + xp.cumsum(
+        phi1 = last_phase + np.cumsum(
             _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
         )
         phi2 = _CCK11_QPSK_LUT[2 * d[:, :, 2] + d[:, :, 3]] + np.pi / 2
         phi3 = _CCK11_QPSK_LUT[2 * d[:, :, 4] + d[:, :, 5]]
         phi4 = _CCK11_QPSK_LUT[2 * d[:, :, 6] + d[:, :, 7]]
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4, xp).reshape(
+        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4).reshape(
             n_batch, -1
         )
         chips_per_symbol = 8
@@ -721,9 +718,9 @@ def _modulate_group(
 
 
 @contracts.shapes("b,n -> b,n*11")
-def _barker_chips_batch(phases: np.ndarray, xp: ModuleType) -> np.ndarray:
+def _barker_chips_batch(phases: np.ndarray) -> np.ndarray:
     """Batched :func:`_barker_chips`: ``(B, n_sym)`` -> ``(B, n_chips)``."""
-    symbols = xp.exp(1j * phases)
+    symbols = np.exp(1j * phases)
     return (symbols[:, :, None] * BARKER11[None, None, :]).reshape(
         phases.shape[0], -1
     )
@@ -735,13 +732,12 @@ def _cck_codewords_batch(
     phi2: np.ndarray,
     phi3: np.ndarray,
     phi4: np.ndarray,
-    xp: ModuleType,
 ) -> np.ndarray:
     """Batched :func:`_cck_codewords`: ``(B, n_sym)`` -> ``(B, n_sym, 8)``."""
-    phases = phi1[:, :, None] + xp.stack(
+    phases = phi1[:, :, None] + np.stack(
         [phi2, phi3, phi4], axis=2
     ) @ _CCK_PHI_COEF.T
-    return _CCK_CHIP_SIGN * xp.exp(1j * phases)
+    return _CCK_CHIP_SIGN * np.exp(1j * phases)
 
 
 def demodulate_batch(
@@ -782,7 +778,6 @@ def demodulate_batch(
 def _demodulate_group(
     waves: list[Waveform], *, n_payload_bits: int | None
 ) -> list[WifiBDecodeResult]:
-    xp = get_backend().xp
     n_batch = len(waves)
     perf.dispatch("wifi_b.demodulate", n_batch, batched=True)
     ann = waves[0].annotations
@@ -792,47 +787,43 @@ def _demodulate_group(
     payload_start = ann["payload_start"]
     short = ann.get("short_preamble", False)
     n_head_symbols = payload_start // (11 * sps)
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
+    iq = np.stack([w.iq for w in waves])  # (B, n_samples)
 
-    head_syms = _despread_barker_batch(iq, sps, n_head_symbols, 0, xp)
-    first_bit = (xp.real(head_syms[:, 0]) < 0).astype(np.uint8)[:, None]
+    head_syms = _despread_barker_batch(iq, sps, n_head_symbols, 0)
+    first_bit = (np.real(head_syms[:, 0]) < 0).astype(np.uint8)[:, None]
     if short:
         n_sync = 72
-        sync_bits = _diff_bits_batch(
-            head_syms[:, 1:n_sync], head_syms[:, 0], xp
-        )
-        hdr_bits = _diff_dibits_batch(
-            head_syms[:, n_sync:], head_syms[:, n_sync - 1], xp
-        )
-        head_onair = xp.concatenate([first_bit, sync_bits, hdr_bits], axis=1)
+        sync_bits = _diff_bits_batch(head_syms[:, 1:n_sync], head_syms[:, 0])
+        hdr_bits = _diff_dibits_batch(head_syms[:, n_sync:], head_syms[:, n_sync - 1])
+        head_onair = np.concatenate([first_bit, sync_bits, hdr_bits], axis=1)
         sync_len = n_sync
     else:
-        body = _diff_bits_batch(head_syms[:, 1:], head_syms[:, 0], xp)
-        head_onair = xp.concatenate([first_bit, body], axis=1)
+        body = _diff_bits_batch(head_syms[:, 1:], head_syms[:, 0])
+        head_onair = np.concatenate([first_bit, body], axis=1)
         sync_len = 144
 
     n_sym = ann["n_payload_symbols"]
     prev = (
         head_syms[:, -1]
         if head_syms.shape[1]
-        else xp.full(n_batch, 1.0 + 0j)
+        else np.full(n_batch, 1.0 + 0j)
     )
     if tenths == 10:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start, xp)
-        psdu_onair = _diff_bits_batch(syms, prev, xp)
+        syms = _despread_barker_batch(iq, sps, n_sym, payload_start)
+        psdu_onair = _diff_bits_batch(syms, prev)
     elif tenths == 20:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start, xp)
-        psdu_onair = _diff_dibits_batch(syms, prev, xp)
+        syms = _despread_barker_batch(iq, sps, n_sym, payload_start)
+        psdu_onair = _diff_dibits_batch(syms, prev)
     elif tenths == 55:
         psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK55_BANK, _CCK55_BITS, xp
+            iq, sps, n_sym, payload_start, prev, _CCK55_BANK, _CCK55_BITS
         )
     else:
         psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK11_BANK, _CCK11_BITS, xp
+            iq, sps, n_sym, payload_start, prev, _CCK11_BANK, _CCK11_BITS
         )
 
-    onair = xp.concatenate([head_onair, psdu_onair], axis=1)
+    onair = np.concatenate([head_onair, psdu_onair], axis=1)
     n_head_bits = head_onair.shape[1]
     seed = ann.get("scrambler_seed", 0x6C)
 
@@ -867,44 +858,40 @@ def _demodulate_group(
 
 @contracts.shapes("b,_ -> b,_,_")
 def _symbol_matrix_batch(
-    iq: np.ndarray, sym_len: int, n_symbols: int, start: int, xp: ModuleType
+    iq: np.ndarray, sym_len: int, n_symbols: int, start: int
 ) -> np.ndarray:
     """Batched :func:`_symbol_matrix`: ``(B, n_symbols, sym_len)``."""
     end = start + n_symbols * sym_len
     seg = iq[:, start:end]
     if seg.shape[1] < n_symbols * sym_len:
-        seg = xp.pad(seg, ((0, 0), (0, n_symbols * sym_len - seg.shape[1])))
+        seg = np.pad(seg, ((0, 0), (0, n_symbols * sym_len - seg.shape[1])))
     return seg.reshape(iq.shape[0], n_symbols, sym_len)
 
 
 @contracts.shapes("b,_ -> b,_")
 def _despread_barker_batch(
-    iq: np.ndarray, sps: int, n_symbols: int, start: int, xp: ModuleType
+    iq: np.ndarray, sps: int, n_symbols: int, start: int
 ) -> np.ndarray:
     """Batched :func:`_despread_barker`: ``(B, n_symbols)`` symbols."""
     chip_kernel = np.repeat(BARKER11, sps) / (11 * sps)
-    return _symbol_matrix_batch(iq, 11 * sps, n_symbols, start, xp) @ chip_kernel
+    return _symbol_matrix_batch(iq, 11 * sps, n_symbols, start) @ chip_kernel
 
 
 @contracts.shapes("b,n ; b -> b,n")
-def _diff_bits_batch(
-    symbols: np.ndarray, prev: np.ndarray, xp: ModuleType
-) -> np.ndarray:
+def _diff_bits_batch(symbols: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Batched :func:`_diff_bits` with a per-row previous symbol."""
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    return (xp.real(symbols * xp.conj(ref)) < 0).astype(np.uint8)
+    prev_col = np.asarray(prev).reshape(-1, 1)
+    ref = np.concatenate([prev_col, symbols[:, :-1]], axis=1)
+    return (np.real(symbols * np.conj(ref)) < 0).astype(np.uint8)
 
 
 @contracts.shapes("b,n ; b -> b,n*2")
-def _diff_dibits_batch(
-    symbols: np.ndarray, prev: np.ndarray, xp: ModuleType
-) -> np.ndarray:
+def _diff_dibits_batch(symbols: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Batched :func:`_diff_dibits`; rows of interleaved (d0, d1) bits."""
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    rot = symbols * xp.conj(ref)
-    phase = xp.mod(xp.angle(rot) + np.pi / 4, 2 * np.pi)
+    prev_col = np.asarray(prev).reshape(-1, 1)
+    ref = np.concatenate([prev_col, symbols[:, :-1]], axis=1)
+    rot = symbols * np.conj(ref)
+    phase = np.mod(np.angle(rot) + np.pi / 4, 2 * np.pi)
     quadrant = (phase // (np.pi / 2)).astype(int)
     return _DQPSK_INV_LUT[quadrant].reshape(symbols.shape[0], -1)
 
@@ -917,27 +904,26 @@ def _cck_decode_batch(
     prev: np.ndarray,
     bank: np.ndarray,
     bank_bits: np.ndarray,
-    xp: ModuleType,
 ) -> np.ndarray:
     """Batched :func:`_cck_decode` over stacked captures."""
     n_batch = iq.shape[0]
     if n_symbols == 0:
         return np.zeros((n_batch, 0), dtype=np.uint8)
     chips = (
-        _symbol_matrix_batch(iq, 8 * sps, n_symbols, start, xp)
+        _symbol_matrix_batch(iq, 8 * sps, n_symbols, start)
         .reshape(n_batch, n_symbols, 8, sps)
         .mean(axis=3)
     )
     corr = chips @ bank.conj().T  # (B, n_symbols, n_codewords)
-    best = xp.argmax(xp.abs(corr), axis=2)
-    corr_best = xp.take_along_axis(corr, best[:, :, None], axis=2)[:, :, 0]
+    best = np.argmax(np.abs(corr), axis=2)
+    corr_best = np.take_along_axis(corr, best[:, :, None], axis=2)[:, :, 0]
 
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, corr_best[:, :-1]], axis=1)
-    rot = corr_best * xp.where(xp.abs(ref) == 0, 1.0 + 0j, xp.conj(ref))
-    phase = xp.mod(xp.angle(rot) + np.pi / 4, 2 * np.pi)
+    prev_col = np.asarray(prev).reshape(-1, 1)
+    ref = np.concatenate([prev_col, corr_best[:, :-1]], axis=1)
+    rot = corr_best * np.where(np.abs(ref) == 0, 1.0 + 0j, np.conj(ref))
+    phase = np.mod(np.angle(rot) + np.pi / 4, 2 * np.pi)
     quadrant = (phase // (np.pi / 2)).astype(int)
-    return xp.concatenate(
+    return np.concatenate(
         [_DQPSK_INV_LUT[quadrant], bank_bits[best]], axis=2
     ).reshape(n_batch, -1)
 

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import convcode, viterbi
 from repro.phy.batch import run_grouped
@@ -661,7 +659,6 @@ def modulate_batch(
 
 def _modulate_group(psdus: Sequence[np.ndarray], cfg: WifiNConfig) -> list[Waveform]:
     """Modulate a group of equal-length PSDUs with fused OFDM assembly."""
-    xp = get_backend().xp
     n_batch = len(psdus)
     perf.dispatch("wifi_n.modulate", n_batch, batched=True)
 
@@ -680,26 +677,26 @@ def _modulate_group(psdus: Sequence[np.ndarray], cfg: WifiNConfig) -> list[Wavef
         )
         scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
         coded_rows.append(convcode.puncture(convcode.encode(scrambled), cfg.coding_rate))
-    coded = xp.stack([get_backend().asarray(c) for c in coded_rows])
+    coded = np.stack(coded_rows)
 
     blocks = coded.reshape(n_batch, n_sym, cfg.n_cbps)
     perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
-    inter = xp.empty_like(blocks)
+    inter = np.empty_like(blocks)
     inter[:, :, perm] = blocks
     # _map_bits is elementwise over fixed-size bit groups, so mapping the
     # flattened batch produces the same value per point as per-symbol calls.
-    points = _map_bits(np.asarray(inter).reshape(-1), cfg.constellation).reshape(
+    points = _map_bits(inter.reshape(-1), cfg.constellation).reshape(
         n_batch, n_sym, 52
     )
 
-    spec = xp.zeros((n_batch, n_sym, N_FFT), dtype=complex)
+    spec = np.zeros((n_batch, n_sym, N_FFT), dtype=complex)
     spec[:, :, HT_DATA_CARRIERS % N_FFT] = points
     polarity = PILOT_POLARITY[(np.arange(n_sym) + 3) % PILOT_POLARITY.size]
     spec[:, :, PILOT_CARRIERS % N_FFT] = (
         PILOT_VALUES[None, None, :] * polarity[None, :, None]
     )
-    body = xp.fft.ifft(spec, axis=-1) * N_FFT / np.sqrt(52.0)
-    data = xp.concatenate([body[:, :, -CP_LEN:], body], axis=2).reshape(n_batch, -1)
+    body = np.fft.ifft(spec, axis=-1) * N_FFT / np.sqrt(52.0)
+    data = np.concatenate([body[:, :, -CP_LEN:], body], axis=2).reshape(n_batch, -1)
 
     preamble = np.concatenate(
         [
@@ -712,12 +709,11 @@ def _modulate_group(psdus: Sequence[np.ndarray], cfg: WifiNConfig) -> list[Wavef
         ]
     )
     payload_start = preamble.size
-    data_np = get_backend().to_numpy(data)
     waves = []
     for b in range(n_batch):
         waves.append(
             Waveform(
-                iq=np.concatenate([preamble, data_np[b]]),
+                iq=np.concatenate([preamble, data[b]]),
                 sample_rate=cfg.sample_rate,
                 annotations={
                     "protocol": Protocol.WIFI_N,
@@ -777,32 +773,30 @@ def demodulate_batch(
 
 
 @contracts.shapes("b,n -> b")
-def _estimate_cfo_batch(iq: np.ndarray, fs: Hertz, xp: ModuleType) -> np.ndarray:
+def _estimate_cfo_batch(iq: np.ndarray, fs: Hertz) -> np.ndarray:
     """Row-wise CFO estimates matching :func:`estimate_cfo` exactly."""
     n_batch = iq.shape[0]
     if iq.shape[1] < 320:
-        return xp.zeros(n_batch)
+        return np.zeros(n_batch)
     stf = iq[:, 16:144]
-    c16 = xp.sum(stf * xp.conj(iq[:, 0:128]), axis=1)
-    coarse = xp.angle(c16) / (2.0 * np.pi * 16.0 / fs)
+    c16 = np.sum(stf * np.conj(iq[:, 0:128]), axis=1)
+    coarse = np.angle(c16) / (2.0 * np.pi * 16.0 / fs)
     b1 = iq[:, 192:256]
     b2 = iq[:, 256:320]
-    c64 = xp.sum(b2 * xp.conj(b1), axis=1)
-    fine = xp.angle(c64) / (2.0 * np.pi * 64.0 / fs)
+    c64 = np.sum(b2 * np.conj(b1), axis=1)
+    fine = np.angle(c64) / (2.0 * np.pi * 64.0 / fs)
     alias = fs / 64.0
-    k = xp.round((coarse - fine) / alias)
+    k = np.round((coarse - fine) / alias)
     return fine + k * alias
 
 
 @contracts.shapes("b,n -> b,64")
-def _estimate_channel_batch(
-    iq: np.ndarray, ht_ltf_start: int, xp: ModuleType
-) -> np.ndarray:
+def _estimate_channel_batch(iq: np.ndarray, ht_ltf_start: int) -> np.ndarray:
     """Row-wise HT-LTF channel estimates matching ``_estimate_channel``."""
     start = ht_ltf_start + CP_LEN
     body = iq[:, start : start + N_FFT]
-    spec = xp.fft.fft(body, axis=-1) * np.sqrt(52.0) / N_FFT
-    h = xp.zeros((iq.shape[0], N_FFT), dtype=complex)
+    spec = np.fft.fft(body, axis=-1) * np.sqrt(52.0) / N_FFT
+    h = np.zeros((iq.shape[0], N_FFT), dtype=complex)
     ks = np.arange(-28, 29)
     nz = _HTLTF28 != 0
     idx = ks[nz] % N_FFT
@@ -818,63 +812,61 @@ def _demodulate_group(
     soft: bool,
 ) -> list[WifiNDecodeResult]:
     """Vectorized receive chain for one dispatch-key group."""
-    backend = get_backend()
-    xp = backend.xp
     n_batch = len(waves)
     perf.dispatch("wifi_n.demodulate", n_batch, batched=True)
 
     ann = waves[0].annotations
     cfg = WifiNConfig(mcs=ann["mcs"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
     fs = waves[0].sample_rate
-    iq = xp.stack([backend.asarray(w.iq) for w in waves])
+    iq = np.stack([w.iq for w in waves])
 
     if correct_cfo:
-        cfo = _estimate_cfo_batch(iq, fs, xp)
+        cfo = _estimate_cfo_batch(iq, fs)
         # Scalar path derotates only when |cfo| > 1 Hz; masking the
         # shift to 0.0 keeps untouched rows bit-identical (exp(0) == 1).
-        shift = xp.where(xp.abs(cfo) > 1.0, -cfo, 0.0)
-        if bool(xp.any(xp.abs(shift) > 0.0)):
+        shift = np.where(np.abs(cfo) > 1.0, -cfo, 0.0)
+        if bool(np.any(np.abs(shift) > 0.0)):
             # Row-by-row mix: numpy's complex multiply rounds a fused
             # (B, n) operand differently than the 1-D rows the scalar
             # path multiplies, which drifts the pilot CPE by an ulp.
-            t = xp.arange(iq.shape[1]) / fs
-            iq = xp.stack(
+            t = np.arange(iq.shape[1]) / fs
+            iq = np.stack(
                 [
-                    iq[b] * xp.exp(2j * np.pi * shift[b] * t)
+                    iq[b] * np.exp(2j * np.pi * shift[b] * t)
                     for b in range(n_batch)
                 ]
             )
 
-    h = _estimate_channel_batch(iq, ann["ht_ltf_start"], xp)
-    h = xp.where(xp.abs(h) < 1e-12, 1e-12, h)
+    h = _estimate_channel_batch(iq, ann["ht_ltf_start"])
+    h = np.where(np.abs(h) < 1e-12, 1e-12, h)
 
     start = ann["payload_start"]
     n_sym = ann["n_payload_symbols"]
     coded_blocks = []
     soft_blocks = []
-    cpes = xp.zeros((n_batch, n_sym))
-    prev_cpe = xp.zeros(n_batch)
+    cpes = np.zeros((n_batch, n_sym))
+    prev_cpe = np.zeros(n_batch)
     perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
     ht_idx = HT_DATA_CARRIERS % N_FFT
     for s in range(n_sym):
         seg = iq[:, start + s * SYMBOL_LEN : start + (s + 1) * SYMBOL_LEN]
         if seg.shape[1] < SYMBOL_LEN:
-            seg = xp.pad(seg, ((0, 0), (0, SYMBOL_LEN - seg.shape[1])))
-        spec = xp.fft.fft(seg[:, CP_LEN:], axis=-1) * np.sqrt(52.0) / N_FFT
+            seg = np.pad(seg, ((0, 0), (0, SYMBOL_LEN - seg.shape[1])))
+        spec = np.fft.fft(seg[:, CP_LEN:], axis=-1) * np.sqrt(52.0) / N_FFT
         eq = spec / h
         polarity = PILOT_POLARITY[(s + 3) % PILOT_POLARITY.size]
         expected = PILOT_VALUES * polarity
         # ascontiguousarray: the fancy-indexed pilot columns come back
         # non-C-contiguous, and a strided axis-1 reduction sums in a
         # different order than the scalar path's contiguous 1-D sum.
-        received = xp.ascontiguousarray(eq[:, PILOT_CARRIERS % N_FFT])
-        corr = xp.sum(received * xp.conj(expected)[None, :], axis=1)
-        cpe_raw = xp.angle(corr)
-        k = xp.round((prev_cpe - cpe_raw) / np.pi)
+        received = np.ascontiguousarray(eq[:, PILOT_CARRIERS % N_FFT])
+        corr = np.sum(received * np.conj(expected)[None, :], axis=1)
+        cpe_raw = np.angle(corr)
+        k = np.round((prev_cpe - cpe_raw) / np.pi)
         cpe_mod = cpe_raw + k * np.pi
         prev_cpe = cpe_mod
         cpes[:, s] = cpe_mod
-        eq = eq * xp.exp(-1j * cpe_mod)[:, None]
+        eq = eq * np.exp(-1j * cpe_mod)[:, None]
         points = eq[:, ht_idx]
         # _demap_symbols / _demap_soft are elementwise per constellation
         # point, so demapping the flattened batch matches per-row calls.
@@ -904,7 +896,6 @@ def _demodulate_group(
         scrambled_rows = viterbi.decode_batch(coded_rows, n_info=n_stream)
 
     n_padded = n_sym * cfg.n_dbps
-    cpes_np = backend.to_numpy(cpes)
     results = []
     for b in range(n_batch):
         scrambled = scrambled_rows[b]
@@ -924,7 +915,7 @@ def _demodulate_group(
                 data_bits=data_bits,
                 psdu_bits=psdu,
                 symbol_bits=symbol_bits,
-                cpe_per_symbol=cpes_np[b].copy(),
+                cpe_per_symbol=cpes[b].copy(),
             )
         )
     return results

@@ -16,7 +16,6 @@ symbol it cuts through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.types import BitArray, ComplexIQ, Hertz
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import pulse
 from repro.phy.batch import run_grouped
@@ -342,9 +340,7 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
 # ----------------------------------------------------------------------
 @contracts.shapes("b,n")
 @contracts.dtypes(np.uint8)
-def _oqpsk_waveform_batch(
-    chips: np.ndarray, cfg: ZigbeeConfig, xp: ModuleType
-) -> np.ndarray:
+def _oqpsk_waveform_batch(chips: np.ndarray, cfg: ZigbeeConfig) -> np.ndarray:
     """Batched :func:`_oqpsk_waveform`: ``chips`` is ``(B, n_chips)``."""
     bipolar = 2.0 * chips.astype(float) - 1.0
     i_chips = bipolar[:, 0::2]
@@ -360,7 +356,7 @@ def _oqpsk_waveform_batch(
     # (NOT a pre-scaled pulse): numpy's complex division does not round
     # like two per-component float divisions, and bit-identity with the
     # scalar path requires the identical ufunc on identical operands.
-    wave = xp.zeros((n_batch, n_total), dtype=complex)
+    wave = np.zeros((n_batch, n_total), dtype=complex)
     wave.real[:, : i_chips.shape[1] * sps_ichip] = (
         i_chips[:, :, None] * p
     ).reshape(n_batch, -1)
@@ -397,7 +393,6 @@ def modulate_batch(
 def _modulate_group(
     bits_group: list[BitArray], cfg: ZigbeeConfig, *, include_fcs: bool
 ) -> list[Waveform]:
-    xp = get_backend().xp
     n_batch = len(bits_group)
     perf.dispatch("zigbee.modulate", n_batch, batched=True)
     bits = np.stack(bits_group)  # (B, n_bits) -- equal length by grouping
@@ -417,7 +412,7 @@ def _modulate_group(
         [np.tile(header_symbols, (n_batch, 1)), payload_symbols], axis=1
     )
     chips = PN_TABLE[symbols].reshape(n_batch, -1)
-    iq = _oqpsk_waveform_batch(chips, cfg, xp)
+    iq = _oqpsk_waveform_batch(chips, cfg)
 
     samples_per_symbol = CHIPS_PER_SYMBOL * cfg.samples_per_chip
     n_payload_symbols = payload_symbols.shape[1]
@@ -473,27 +468,26 @@ def demodulate_batch(
 def _demodulate_group(
     waves: list[Waveform], *, correct_cfo: bool
 ) -> list[ZigbeeDecodeResult]:
-    xp = get_backend().xp
     n_batch = len(waves)
     perf.dispatch("zigbee.demodulate", n_batch, batched=True)
     ann = waves[0].annotations
     sample_rate = waves[0].sample_rate
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
+    iq = np.stack([w.iq for w in waves])  # (B, n_samples)
 
     if correct_cfo:
-        cfo = _estimate_cfo_batch(iq, ann, sample_rate, xp)
-        shift = xp.where(xp.abs(cfo) > 0.5, -cfo, 0.0)
-        if bool(xp.any(xp.abs(shift) > 0.0)):
+        cfo = _estimate_cfo_batch(iq, ann, sample_rate)
+        shift = np.where(np.abs(cfo) > 0.5, -cfo, 0.0)
+        if bool(np.any(np.abs(shift) > 0.0)):
             # Same mix expression as Waveform.frequency_shifted, with a
             # per-row shift; rows below the threshold get shift 0, and
             # multiplying by exp(0j) == 1+0j is exact.  The mix runs
             # row by row because numpy's complex multiply rounds
             # differently on a fused (B, n) operand than on the 1-D
             # rows the scalar path sees.
-            t = xp.arange(iq.shape[1]) / sample_rate
-            iq = xp.stack(
+            t = np.arange(iq.shape[1]) / sample_rate
+            iq = np.stack(
                 [
-                    iq[b] * xp.exp(2j * np.pi * shift[b] * t)
+                    iq[b] * np.exp(2j * np.pi * shift[b] * t)
                     for b in range(n_batch)
                 ]
             )
@@ -502,7 +496,7 @@ def _demodulate_group(
     n_payload = int(ann["n_payload_symbols"])
     n_symbols = n_header + n_payload
     z = _chip_matched_outputs_batch(
-        iq, n_symbols * CHIPS_PER_SYMBOL, int(ann["samples_per_symbol"]), xp
+        iq, n_symbols * CHIPS_PER_SYMBOL, int(ann["samples_per_symbol"])
     )
     q_axis = np.resize(
         np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL
@@ -511,34 +505,34 @@ def _demodulate_group(
 
     symbols = np.empty((n_batch, n_symbols), dtype=np.uint8)
     corrs = np.empty((n_batch, n_symbols))
-    phase = xp.zeros(n_batch)
+    phase = np.zeros(n_batch)
     for k in range(n_symbols):
         zk = z[:, k * CHIPS_PER_SYMBOL : (k + 1) * CHIPS_PER_SYMBOL]
-        rotated = zk * xp.exp(-1j * phase)[:, None]
-        seg = xp.where(even[None, :], rotated.real, rotated.imag)
+        rotated = zk * np.exp(-1j * phase)[:, None]
+        seg = np.where(even[None, :], rotated.real, rotated.imag)
         # Stacked per-packet gemvs: each (16, 32) @ (32, 1) slice runs
         # the scalar path's ``_PN_BIPOLAR @ seg`` BLAS call unchanged,
         # so the scores stay bit-identical at every batch size.  The
         # batch axis must stay OUT of the per-slice operands: a fused
         # (B, 32) @ (32, 16) gemm -- and even a (16, B, 32) @
         # (16, 32, 1) stacking, at B=1 -- rounds differently.
-        scores = xp.matmul(_PN_BIPOLAR[None, :, :], seg[:, :, None])[:, :, 0]
+        scores = np.matmul(_PN_BIPOLAR[None, :, :], seg[:, :, None])[:, :, 0]
         best = scores.argmax(axis=1)
         symbols[:, k] = best
         # Row norms via stacked (1, 32) @ (32, 1) matmuls: each slice
         # runs the same BLAS dot as the scalar ``np.linalg.norm(seg)``,
         # where the axis-reduction form drifts by an ulp.
-        sq = xp.matmul(seg[:, None, :], seg[:, :, None])[:, 0, 0]
-        norm = xp.sqrt(sq) * np.sqrt(CHIPS_PER_SYMBOL)
+        sq = np.matmul(seg[:, None, :], seg[:, :, None])[:, 0, 0]
+        norm = np.sqrt(sq) * np.sqrt(CHIPS_PER_SYMBOL)
         safe = norm > 1e-12
-        denom = xp.where(safe, norm, 1.0)
-        best_score = xp.take_along_axis(scores, best[:, None], axis=1)[:, 0]
-        corrs[:, k] = xp.where(safe, best_score / denom, 0.0)
+        denom = np.where(safe, norm, 1.0)
+        best_score = np.take_along_axis(scores, best[:, None], axis=1)[:, 0]
+        corrs[:, k] = np.where(safe, best_score / denom, 0.0)
         ideal = _PN_BIPOLAR[best] * q_axis
-        residual = xp.sum(rotated * xp.conj(ideal), axis=1)
-        phase = xp.where(
-            xp.abs(residual) > 1e-12,
-            phase + 0.5 * xp.angle(residual),
+        residual = np.sum(rotated * np.conj(ideal), axis=1)
+        phase = np.where(
+            np.abs(residual) > 1e-12,
+            phase + 0.5 * np.angle(residual),
             phase,
         )
 
@@ -578,30 +572,28 @@ def _demodulate_group(
 
 
 @contracts.shapes("b,n -> b")
-def _estimate_cfo_batch(
-    iq: np.ndarray, ann: dict, sample_rate: Hertz, xp: ModuleType
-) -> np.ndarray:
+def _estimate_cfo_batch(iq: np.ndarray, ann: dict, sample_rate: Hertz) -> np.ndarray:
     """Row-wise :func:`estimate_cfo` over stacked captures."""
     sym_len = int(ann["samples_per_symbol"])
     n_pre = min(int(ann.get("n_header_symbols", 10)) - 2, 7)
     if n_pre < 1 or iq.shape[1] < (n_pre + 1) * sym_len:
-        return xp.zeros(iq.shape[0])
+        return np.zeros(iq.shape[0])
     a = iq[:, : n_pre * sym_len]
     b = iq[:, sym_len : (n_pre + 1) * sym_len]
     # numpy's complex multiply rounds differently on strided 2-D views
     # than on 1-D rows (SIMD loop selection), so a fused
     # ``sum(b * conj(a), axis=1)`` drifts 1 ulp from the scalar
     # estimator; row-wise 1-D products reproduce it bit-for-bit.
-    corr = xp.stack(
-        [xp.sum(b[k] * xp.conj(a[k])) for k in range(iq.shape[0])]
+    corr = np.stack(
+        [np.sum(b[k] * np.conj(a[k])) for k in range(iq.shape[0])]
     )
     period_s = sym_len / sample_rate
-    return xp.angle(corr) / (2.0 * np.pi * period_s)
+    return np.angle(corr) / (2.0 * np.pi * period_s)
 
 
 @contracts.shapes("b,n")
 def _chip_matched_outputs_batch(
-    iq: np.ndarray, n_chips: int, samples_per_symbol: int, xp: ModuleType
+    iq: np.ndarray, n_chips: int, samples_per_symbol: int
 ) -> np.ndarray:
     """Batched :func:`_chip_matched_outputs` over ``(B, n)`` captures."""
     spc = samples_per_symbol // CHIPS_PER_SYMBOL
@@ -615,8 +607,8 @@ def _chip_matched_outputs_batch(
     needed = half + n_q * sps_ichip if n_q else n_i * sps_ichip
     needed = max(needed, n_i * sps_ichip)
     if iq.shape[1] < needed:
-        iq = xp.pad(iq, ((0, 0), (0, needed - iq.shape[1])))
-    out = xp.zeros((n_batch, n_chips), dtype=complex)
+        iq = np.pad(iq, ((0, 0), (0, needed - iq.shape[1])))
+    out = np.zeros((n_batch, n_chips), dtype=complex)
     out[:, 0::2] = iq[:, : n_i * sps_ichip].reshape(n_batch, n_i, sps_ichip) @ p
     if n_q:
         out[:, 1::2] = (

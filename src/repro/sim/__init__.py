@@ -1,4 +1,4 @@
-"""Simulation framework: excitation traffic, scenarios, metrics."""
+"""Simulation framework: excitation traffic, metrics, Monte-Carlo runs."""
 
 from repro.sim.traffic import random_packet, ExcitationSource, ExcitationSchedule
 from repro.sim.metrics import ber, confusion_table, throughput_kbps

@@ -101,45 +101,3 @@ class TestFig15:
         # Multiscatter's tag throughput does not depend on the original
         # channel at all, so occluding it changes nothing.
         assert multi.tag_kbps > hh
-
-
-class TestXTandem:
-    def test_more_hops_lower_rssi(self):
-        from repro.baselines import XTandem
-
-        one = XTandem(n_hops=1)
-        three = XTandem(n_hops=3)
-        assert three.chain_rssi_dbm() < one.chain_rssi_dbm()
-
-    def test_more_hops_higher_ber(self):
-        from repro.baselines import XTandem
-
-        assert XTandem(n_hops=4).backscatter_ber() >= XTandem(n_hops=1).backscatter_ber()
-
-    def test_hop_capacity_shared(self):
-        from repro.baselines import XTandem
-
-        one = XTandem(n_hops=1)
-        four = XTandem(n_hops=4)
-        # Aggregate capacity is ~constant: the packet is shared.
-        assert abs(four.tag_bits_per_packet() - one.tag_bits_per_packet()) <= 4
-
-    def test_still_original_channel_dependent(self):
-        import numpy as np
-
-        from repro.baselines import XTandem
-        from repro.channel.occlusion import Material
-
-        rng = np.random.default_rng(0)
-        xt = XTandem(n_hops=2, d_backscatter_m=1.0)
-        clear = xt.tag_ber(Material.NONE, rng)
-        concrete = xt.tag_ber(Material.CONCRETE, rng)
-        assert concrete > clear + 0.2
-
-    def test_two_hops_marginal_three_dead(self):
-        from repro.baselines import XTandem
-
-        # The geometric hop cost: each extra reflection multiplies in a
-        # full path loss, so passive chains fall off a cliff.
-        assert XTandem(n_hops=2, d_backscatter_m=1.0).backscatter_ber() < 0.01
-        assert XTandem(n_hops=3, d_backscatter_m=1.0).backscatter_ber() > 0.4

@@ -99,3 +99,43 @@ class TestStudentTCi:
     def test_degenerate_sizes(self):
         assert TrialStats(np.array([])).ci95_halfwidth() == 0.0
         assert TrialStats(np.array([4.2])).ci95_halfwidth() == 0.0
+
+
+class TestMonteCarlo:
+    def test_reproducible(self):
+        def trial(rng):
+            return {"x": rng.uniform()}
+
+        a = MonteCarlo(n_trials=10, seed=5).run(trial)
+        b = MonteCarlo(n_trials=10, seed=5).run(trial)
+        assert np.array_equal(a["x"].values, b["x"].values)
+
+    def test_independent_streams(self):
+        def trial(rng):
+            return {"x": rng.uniform()}
+
+        stats = MonteCarlo(n_trials=200, seed=1).run(trial)["x"]
+        assert stats.n == 200
+        assert stats.mean == pytest.approx(0.5, abs=0.08)
+        assert len(np.unique(stats.values)) == 200
+
+    def test_ci_shrinks_with_n(self):
+        def trial(rng):
+            return {"x": rng.normal()}
+
+        small = MonteCarlo(n_trials=20, seed=2).run(trial)["x"]
+        large = MonteCarlo(n_trials=500, seed=2).run(trial)["x"]
+        assert large.ci95_halfwidth() < small.ci95_halfwidth()
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError):
+            MonteCarlo(n_trials=0).run(lambda rng: {})
+
+    def test_multiple_metrics(self):
+        def trial(rng):
+            return {"a": 1.0, "b": rng.uniform()}
+
+        stats = MonteCarlo(n_trials=5, seed=3).run(trial)
+        assert stats["a"].mean == 1.0
+        assert stats["a"].std == 0.0
+        assert 0 <= stats["b"].mean <= 1
