@@ -26,9 +26,11 @@ the sharded data plane must deliver at least ``--gateway-min-speedup``
 capacity tag count.
 
 If a committed baseline already exists, every fresh mean time is
-compared against it first: a slowdown beyond ``--regression-factor``
-(default 2x, loose enough for machine-to-machine noise) fails the run
-with exit code 1 and the files are left untouched.
+compared against it: a slowdown beyond ``--regression-factor``
+(default 2x, loose enough for machine-to-machine noise) fails its
+stage.  All three stages always run, so one failing gate never hides
+another; the run then lists every failing stage, exits 1 and leaves
+all three baseline files untouched.
 
 Usage::
 
@@ -89,27 +91,38 @@ def _check_bench_coverage() -> list[str]:
     return missing
 
 
-def _run_pytest_benchmark(json_path: Path, bench_file: Path = BENCH_FILE) -> None:
-    cmd = [
-        sys.executable,
-        "-m",
-        "pytest",
-        str(bench_file),
-        "--benchmark-only",
-        f"--benchmark-json={json_path}",
-        "-q",
-        "-p",
-        "no:cacheprovider",
-    ]
+def _run_bench_file(bench_file: Path) -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Mean times of one bench file under pytest-benchmark, or the
+    failure that prevented them."""
     # Works without `pip install -e .`: put src/ on the subprocess path.
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
-    proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
-    if proc.returncode != 0:
-        raise SystemExit(f"benchmark run failed with exit code {proc.returncode}")
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "bench.json"
+        cmd = [
+            sys.executable,
+            "-m",
+            "pytest",
+            str(bench_file),
+            "--benchmark-only",
+            f"--benchmark-json={json_path}",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+        ]
+        proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
+        if proc.returncode != 0:
+            return {}, [
+                f"{bench_file.name}: benchmark run failed with exit code "
+                f"{proc.returncode}"
+            ]
+        results = _extract_means(json_path)
+    if not results:
+        return {}, [f"{bench_file.name}: no benchmark results collected"]
+    return results, []
 
 
 def _extract_means(json_path: Path) -> dict[str, dict[str, float]]:
@@ -289,6 +302,17 @@ def _check_gateway(
     return failures
 
 
+def _report_stage(
+    failed: dict[str, list[str]], stage: str, header: str, failures: list[str]
+) -> None:
+    """Print a stage's gate failures and record the stage as failed."""
+    if failures:
+        failed[stage] = failures
+        print(header)
+        for line in failures:
+            print(f"  {line}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -325,35 +349,29 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
 
-    with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "bench.json"
-        _run_pytest_benchmark(json_path)
-        results = _extract_means(json_path)
-    if not results:
-        print("no benchmark results collected", file=sys.stderr)
-        return 1
+    failed: dict[str, list[str]] = {}
 
+    results, failures = _run_bench_file(BENCH_FILE)
     speedups = _speedups(results)
-    failures = _check_regressions(results, args.regression_factor)
-
+    failures += _check_regressions(results, args.regression_factor)
     print("kernel speedups vs frozen seed implementations:")
     for label, factor in speedups.items():
         print(f"  {label:22s} {factor:6.2f}x")
-    if failures:
-        print("PERFORMANCE REGRESSIONS (vs committed BENCH_primitives.json):")
-        for line in failures:
-            print(f"  {line}")
-        return 1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "bench_e2e.json"
-        _run_pytest_benchmark(json_path, E2E_BENCH_FILE)
-        e2e_results = _extract_means(json_path)
-    e2e_summary, e2e_failures = _check_e2e(
-        e2e_results,
-        min_speedup=args.e2e_min_speedup,
-        regression_factor=args.regression_factor,
+    _report_stage(
+        failed,
+        "primitives",
+        "PERFORMANCE REGRESSIONS (vs committed BENCH_primitives.json):",
+        failures,
     )
+
+    e2e_results, e2e_failures = _run_bench_file(E2E_BENCH_FILE)
+    e2e_summary: dict[str, object] = {}
+    if not e2e_failures:
+        e2e_summary, e2e_failures = _check_e2e(
+            e2e_results,
+            min_speedup=args.e2e_min_speedup,
+            regression_factor=args.regression_factor,
+        )
     if e2e_summary:
         pps = e2e_summary["packets_per_sec"]
         print(
@@ -362,11 +380,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{pps['batched']:.0f} pkt/s batched "
             f"({e2e_summary['batched_speedup']}x)"
         )
-    if e2e_failures:
-        print("E2E THROUGHPUT GATE FAILURES (vs committed BENCH_e2e.json):")
-        for line in e2e_failures:
-            print(f"  {line}")
-        return 1
+    _report_stage(
+        failed,
+        "e2e",
+        "E2E THROUGHPUT GATE FAILURES (vs committed BENCH_e2e.json):",
+        e2e_failures,
+    )
 
     gateway_payload = _run_gateway_sweep()
     gateway_failures = _check_gateway(
@@ -398,10 +417,18 @@ def main(argv: list[str] | None = None) -> int:
             f"decode workers vs 1 at "
             f"{gateway_payload['worker_sweep_tags']} tags{note}"
         )
-    if gateway_failures:
-        print("GATEWAY GATE FAILURES (vs committed BENCH_gateway.json):")
-        for line in gateway_failures:
-            print(f"  {line}")
+    _report_stage(
+        failed,
+        "gateway",
+        "GATEWAY GATE FAILURES (vs committed BENCH_gateway.json):",
+        gateway_failures,
+    )
+
+    if failed:
+        print(
+            f"{len(failed)} of 3 benchmark stage(s) failed: "
+            f"{', '.join(failed)}; no baseline written"
+        )
         return 1
 
     if not args.check:

@@ -9,12 +9,7 @@ length, and matching rule are all configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:  # runtime import stays local to avoid a cycle
-    from repro.core.resources import CorrelatorDesign
 
 from repro.core.adc import Adc
 from repro.core.matching import (
@@ -160,17 +155,6 @@ class ProtocolIdentifier:
             self.bank,
             quantized=cfg.quantized,
             offsets=offsets,
-        )
-
-    def power_profile(self) -> "CorrelatorDesign":
-        """FPGA resource/power estimate of this configuration (the
-        Table 2/5 models applied to the live pipeline settings)."""
-        from repro.core.resources import CorrelatorDesign
-
-        return CorrelatorDesign(
-            sample_rate_hz=self.config.sample_rate_hz,
-            window_us=self.config.window_us + self.config.preprocess_us,
-            quantized=self.config.quantized,
         )
 
     def detect_and_identify(

@@ -33,10 +33,6 @@ class OverlayDecodeOutput:
     symbol_values: list
 
     @property
-    def n_productive(self) -> int:
-        return int(self.productive_bits.size)
-
-    @property
     def n_tag(self) -> int:
         return int(self.tag_bits.size)
 

@@ -1,14 +1,14 @@
-"""Shared plumbing for the batched PHY/matching entry points.
+"""Shared plumbing for the batched receivers.
 
-Every ``*_batch`` kernel follows the same ragged-input policy: inputs
-are grouped by a per-item *dispatch key* (packet length plus whatever
-configuration changes the kernel's control flow), each group is
-processed with one vectorized dispatch, and results are scattered back
-in input order.  Grouping -- rather than padding or masking -- is what
-makes the scalar-equivalence guarantee structural: within a group every
-item takes exactly the arithmetic the single-packet kernel would, just
-with a leading batch axis, so there are no padded lanes whose garbage
-could leak into reductions.
+Every vectorized ``demodulate_batch`` follows the same ragged-input
+policy: inputs are grouped by a per-item *dispatch key* (packet length
+plus whatever configuration changes the kernel's control flow), each
+group is processed with one vectorized dispatch, and results are
+scattered back in input order.  Grouping -- rather than padding or
+masking -- is what makes the scalar-equivalence guarantee structural:
+within a group every item takes exactly the arithmetic the
+single-packet kernel would, just with a leading batch axis, so there
+are no padded lanes whose garbage could leak into reductions.
 
 Empty batches are rejected eagerly with a :class:`ValueError` naming
 the entry point; a silent empty return would let a caller's broken
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence, TypeVar
 
-__all__ = ["require_batch", "group_indices", "run_grouped"]
+__all__ = ["require_batch", "run_grouped"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -32,16 +32,6 @@ def require_batch(items: Sequence[object], where: str) -> None:
             f"{where}: empty batch -- batched entry points require at "
             "least one item"
         )
-
-
-def group_indices(
-    keys: Sequence[Hashable],
-) -> list[tuple[Hashable, list[int]]]:
-    """Stable grouping of positions by key (first-seen key order)."""
-    groups: dict[Hashable, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.items())
 
 
 def run_grouped(
@@ -58,8 +48,12 @@ def run_grouped(
     Results come back aligned with the original ``items`` order.
     """
     require_batch(items, where)
+    # Stable grouping: groups run in first-seen key order.
+    groups: dict[Hashable, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key_fn(item), []).append(i)
     results: list[_R | None] = [None] * len(items)
-    for _, idx in group_indices([key_fn(item) for item in items]):
+    for idx in groups.values():
         out = group_fn([items[i] for i in idx])
         if len(out) != len(idx):
             raise RuntimeError(

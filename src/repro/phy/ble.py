@@ -34,7 +34,6 @@ __all__ = [
     "BleConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "BleDecodeResult",
 ]
@@ -135,14 +134,24 @@ def modulate(payload: bytes | np.ndarray, config: BleConfig | None = None) -> Wa
     return Waveform(
         iq=iq,
         sample_rate=cfg.sample_rate,
-        annotations=_annotations(cfg, bits.size, payload_bit, n_payload_bits, whitened),
+        annotations={
+            "protocol": Protocol.BLE,
+            "payload_start": payload_bit * sps,
+            "samples_per_symbol": sps,
+            "n_payload_symbols": bits.size - payload_bit,
+            "n_payload_bits": n_payload_bits,
+            "channel": cfg.channel,
+            "n_frame_bits": bits.size,
+            "n_preamble_bits": 16 if cfg.phy == "2M" else 8,
+            "whitened": whitened,
+        },
     )
 
 
 def _onair_bits(
     payload: bytes | np.ndarray, cfg: BleConfig
 ) -> tuple[np.ndarray, int, int, bool]:
-    """On-air bit assembly shared by the scalar and batched modulators.
+    """On-air bit assembly: framed and whitened PDU, or raw bits.
 
     Returns ``(bits, first_payload_bit, n_payload_bits, whitened)``.
     """
@@ -157,27 +166,6 @@ def _onair_bits(
         preamble = 1 - preamble
     bits = np.concatenate([preamble, aa_bits, raw])
     return bits, preamble.size + aa_bits.size, raw.size, False
-
-
-def _annotations(
-    cfg: BleConfig,
-    n_bits: int,
-    payload_bit: int,
-    n_payload_bits: int,
-    whitened: bool,
-) -> dict:
-    sps = cfg.samples_per_symbol
-    return {
-        "protocol": Protocol.BLE,
-        "payload_start": payload_bit * sps,
-        "samples_per_symbol": sps,
-        "n_payload_symbols": n_bits - payload_bit,
-        "n_payload_bits": n_payload_bits,
-        "channel": cfg.channel,
-        "n_frame_bits": n_bits,
-        "n_preamble_bits": 16 if cfg.phy == "2M" else 8,
-        "whitened": whitened,
-    }
 
 
 @dataclass
@@ -274,61 +262,6 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
 # ----------------------------------------------------------------------
 # batched entry points
 # ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: BleConfig | None = None,
-) -> list[Waveform]:
-    """Modulate N PDUs with one vectorized dispatch per frame length.
-
-    Bit-identical to ``[modulate(p, config) for p in payloads]``: the
-    per-frame pulse-shaping convolution keeps the scalar call, while
-    the phase integration and complex exponential (the bulk of the
-    samples-domain work) run once over the stacked batch.
-    """
-    cfg = config or BleConfig()
-    framed = [_onair_bits(p, cfg) for p in payloads]
-    return run_grouped(
-        framed,
-        lambda f: (f[0].size, f[1], f[2], f[3]),
-        lambda group: _modulate_group(group, cfg),
-        where="ble.modulate_batch",
-    )
-
-
-def _modulate_group(
-    group: list[tuple[np.ndarray, int, int, bool]], cfg: BleConfig
-) -> list[Waveform]:
-    n_batch = len(group)
-    perf.dispatch("ble.modulate", n_batch, batched=True)
-    bits = np.stack([f[0] for f in group])  # (B, n_bits)
-    _, payload_bit, n_payload_bits, whitened = group[0]
-    sps = cfg.samples_per_symbol
-    nrz = 2.0 * bits.astype(float) - 1.0
-    taps = pulse.gaussian_taps(cfg.bt, sps)
-    delay = (len(taps) - 1) // 2
-    n_out = bits.shape[1] * sps
-    shaped = np.empty((n_batch, n_out))
-    for b in range(n_batch):
-        # np.convolve per frame: identical call (and result) to the
-        # scalar path; the taps are short so this is not the hot part.
-        full = np.convolve(np.repeat(nrz[b], sps), taps)
-        shaped[b] = full[delay : delay + n_out]
-    phase = (
-        2.0
-        * np.pi
-        * cfg.freq_deviation_hz
-        * np.cumsum(shaped, axis=1)
-        / cfg.sample_rate
-    )
-    iq = np.exp(1j * phase)
-    ann = _annotations(cfg, bits.shape[1], payload_bit, n_payload_bits, whitened)
-    return [
-        Waveform(iq=iq[b].copy(), sample_rate=cfg.sample_rate, annotations=dict(ann))
-        for b in range(n_batch)
-    ]
-
-
 def demodulate_batch(
     waves: Sequence[Waveform], *, dewhiten: bool = True
 ) -> list[BleDecodeResult]:

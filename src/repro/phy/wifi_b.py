@@ -28,7 +28,7 @@ from repro import perf
 from repro.core import contracts
 from repro.phy import bits as bitlib
 from repro.phy import pulse
-from repro.phy.batch import run_grouped
+from repro.phy.batch import require_batch
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.types import Hertz
@@ -38,7 +38,6 @@ __all__ = [
     "WifiBConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "build_psdu_symbols",
     "demap_psdu_symbols",
@@ -58,10 +57,8 @@ _SFD_SHORT = bitlib.bits_from_int(0x05CF, 16)
 _SIGNAL_BY_RATE = {1.0: 0x0A, 2.0: 0x14, 5.5: 0x37, 11.0: 0x6E}
 _RATE_BY_SIGNAL = {v: k for k, v in _SIGNAL_BY_RATE.items()}
 
-#: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2.
-_DQPSK_PHASE = {(0, 0): 0.0, (0, 1): np.pi / 2, (1, 1): np.pi, (1, 0): 3 * np.pi / 2}
-
-#: The same table as an array indexed by ``2*d0 + d1``.
+#: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2,
+#: indexed by ``2*d0 + d1``.
 _DQPSK_PHASE_LUT = np.array([0.0, np.pi / 2, 3 * np.pi / 2, np.pi])
 
 #: Quadrant index (0/90/180/270 degrees) back to the (d0, d1) dibit.
@@ -575,357 +572,22 @@ def demodulate(
 
 
 # ----------------------------------------------------------------------
-# batched entry points
+# batched entry point
 # ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: WifiBConfig | None = None,
-    *,
-    scrambled_domain: bool = False,
-) -> list[Waveform]:
-    """Modulate N PSDUs with one vectorized dispatch per payload length.
-
-    Bit-identical to ``[modulate(p, config, ...) for p in payloads]``:
-    the stateful per-frame pieces (scrambler, chip-shaping convolution)
-    keep their scalar calls, while differential phase accumulation,
-    spreading and the CCK codeword synthesis run over the stacked
-    batch.
-    """
-    cfg = config or WifiBConfig()
-    all_bits = [
-        bitlib.bits_from_bytes(p)
-        if isinstance(p, (bytes, bytearray))
-        else np.asarray(p, dtype=np.uint8)
-        for p in payloads
-    ]
-    return run_grouped(
-        all_bits,
-        lambda b: b.size,
-        lambda group: _modulate_group(
-            group, cfg, scrambled_domain=scrambled_domain
-        ),
-        where="wifi_b.modulate_batch",
-    )
-
-
-def _modulate_group(
-    bits_group: list[np.ndarray], cfg: WifiBConfig, *, scrambled_domain: bool
-) -> list[Waveform]:
-    n_batch = len(bits_group)
-    perf.dispatch("wifi_b.modulate", n_batch, batched=True)
-    head_chips, last_phase, scr_state, n_head = _cached_head(
-        cfg.rate_mbps,
-        (bits_group[0].size + 7) // 8,
-        cfg.seed,
-        cfg.short_preamble,
-    )
-    if scrambled_domain:
-        psdu_rows = list(bits_group)
-    else:
-        psdu_rows = [
-            bitlib.scramble_80211b(b, seed=scr_state) for b in bits_group
-        ]
-
-    tenths = cfg.rate_tenths
-    if tenths == 10:
-        psdu_bits = np.stack(psdu_rows)
-        phases = last_phase + np.cumsum(
-            np.where(psdu_bits == 1, np.pi, 0.0), axis=1
-        )
-        psdu_chips = _barker_chips_batch(phases)
-        chips_per_symbol = 11
-    elif tenths == 20:
-        if psdu_rows[0].size % 2:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(1, np.uint8)]) for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        pairs = psdu_bits.reshape(n_batch, -1, 2)
-        increments = _DQPSK_PHASE_LUT[2 * pairs[:, :, 0] + pairs[:, :, 1]]
-        phases = last_phase + np.cumsum(increments, axis=1)
-        psdu_chips = _barker_chips_batch(phases)
-        chips_per_symbol = 11
-    elif tenths == 55:
-        pad = (-psdu_rows[0].size) % 4
-        if pad:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(pad, np.uint8)])
-                for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        d = psdu_bits.reshape(n_batch, -1, 4)
-        phi1 = last_phase + np.cumsum(
-            _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
-        )
-        phi2 = np.pi / 2 + d[:, :, 2] * np.pi
-        phi3 = np.zeros(d.shape[:2])
-        phi4 = d[:, :, 3] * np.pi
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4).reshape(
-            n_batch, -1
-        )
-        chips_per_symbol = 8
-    else:  # CCK 11
-        pad = (-psdu_rows[0].size) % 8
-        if pad:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(pad, np.uint8)])
-                for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        d = psdu_bits.reshape(n_batch, -1, 8)
-        phi1 = last_phase + np.cumsum(
-            _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
-        )
-        phi2 = _CCK11_QPSK_LUT[2 * d[:, :, 2] + d[:, :, 3]] + np.pi / 2
-        phi3 = _CCK11_QPSK_LUT[2 * d[:, :, 4] + d[:, :, 5]]
-        phi4 = _CCK11_QPSK_LUT[2 * d[:, :, 6] + d[:, :, 7]]
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4).reshape(
-            n_batch, -1
-        )
-        chips_per_symbol = 8
-
-    taps = pulse.rrc_taps(0.5, cfg.samples_per_chip) if cfg.shaped else None
-    payload_start = head_chips.size * cfg.samples_per_chip
-    n_payload_symbols = psdu_chips.shape[1] // chips_per_symbol
-    waves = []
-    for b in range(n_batch):
-        # pulse.shape_chips keeps its scalar convolution: np.convolve
-        # per frame is the identical call (and result) the scalar
-        # modulator makes.
-        chips = np.concatenate([head_chips, psdu_chips[b]])
-        iq = pulse.shape_chips(chips, cfg.samples_per_chip, taps)
-        waves.append(
-            Waveform(
-                iq=iq,
-                sample_rate=cfg.sample_rate,
-                annotations={
-                    "protocol": Protocol.WIFI_B,
-                    "rate_mbps": cfg.rate_mbps,
-                    "payload_start": payload_start,
-                    "samples_per_symbol": chips_per_symbol
-                    * cfg.samples_per_chip,
-                    "n_payload_symbols": n_payload_symbols,
-                    "payload_bits": psdu_bits[b].copy(),
-                    "scrambler_seed": cfg.seed,
-                    "short_preamble": cfg.short_preamble,
-                    "n_head_bits": n_head,
-                    "scrambled_domain": scrambled_domain,
-                },
-            )
-        )
-    return waves
-
-
-@contracts.shapes("b,n -> b,n*11")
-def _barker_chips_batch(phases: np.ndarray) -> np.ndarray:
-    """Batched :func:`_barker_chips`: ``(B, n_sym)`` -> ``(B, n_chips)``."""
-    symbols = np.exp(1j * phases)
-    return (symbols[:, :, None] * BARKER11[None, None, :]).reshape(
-        phases.shape[0], -1
-    )
-
-
-@contracts.shapes("b,n ; b,n ; b,n ; b,n -> b,n,8")
-def _cck_codewords_batch(
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    phi3: np.ndarray,
-    phi4: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`_cck_codewords`: ``(B, n_sym)`` -> ``(B, n_sym, 8)``."""
-    phases = phi1[:, :, None] + np.stack(
-        [phi2, phi3, phi4], axis=2
-    ) @ _CCK_PHI_COEF.T
-    return _CCK_CHIP_SIGN * np.exp(1j * phases)
-
-
 def demodulate_batch(
     waves: Sequence[Waveform],
     *,
     n_payload_bits: int | None = None,
 ) -> list[WifiBDecodeResult]:
-    """Batched :func:`demodulate`: bit-identical to the scalar loop.
+    """:func:`demodulate` over a batch, one packet at a time.
 
-    Despreading is a row-stacked Barker gemv and the CCK bank search a
-    per-frame gemm of the same shape the scalar path issues, so both
-    decisions and the differential phases match the per-packet receiver
-    exactly.
+    A per-packet 802.11b decode costs ~0.04 ms and a vectorized
+    receiver does not beat this loop at the gateway's batch sizes
+    (docs/PERFORMANCE.md); the entry point exists so that all four
+    receivers share one batched interface.
     """
-
-    def key(wave: Waveform) -> tuple:
-        ann = wave.annotations
-        if ann.get("protocol") is not Protocol.WIFI_B:
-            raise ValueError("waveform is not annotated as 802.11b")
-        return (
-            wave.iq.size,
-            _rate_tenths(ann["rate_mbps"]),
-            int(ann["payload_start"]),
-            int(ann["samples_per_symbol"]),
-            int(ann["n_payload_symbols"]),
-            bool(ann.get("short_preamble", False)),
-            int(ann.get("scrambler_seed", 0x6C)),
-        )
-
-    return run_grouped(
-        list(waves),
-        key,
-        lambda group: _demodulate_group(group, n_payload_bits=n_payload_bits),
-        where="wifi_b.demodulate_batch",
-    )
-
-
-def _demodulate_group(
-    waves: list[Waveform], *, n_payload_bits: int | None
-) -> list[WifiBDecodeResult]:
-    n_batch = len(waves)
-    perf.dispatch("wifi_b.demodulate", n_batch, batched=True)
-    ann = waves[0].annotations
-    rate = ann["rate_mbps"]
-    tenths = _rate_tenths(rate)
-    sps = ann["samples_per_symbol"] // (11 if tenths in (10, 20) else 8)
-    payload_start = ann["payload_start"]
-    short = ann.get("short_preamble", False)
-    n_head_symbols = payload_start // (11 * sps)
-    iq = np.stack([w.iq for w in waves])  # (B, n_samples)
-
-    head_syms = _despread_barker_batch(iq, sps, n_head_symbols, 0)
-    first_bit = (np.real(head_syms[:, 0]) < 0).astype(np.uint8)[:, None]
-    if short:
-        n_sync = 72
-        sync_bits = _diff_bits_batch(head_syms[:, 1:n_sync], head_syms[:, 0])
-        hdr_bits = _diff_dibits_batch(head_syms[:, n_sync:], head_syms[:, n_sync - 1])
-        head_onair = np.concatenate([first_bit, sync_bits, hdr_bits], axis=1)
-        sync_len = n_sync
-    else:
-        body = _diff_bits_batch(head_syms[:, 1:], head_syms[:, 0])
-        head_onair = np.concatenate([first_bit, body], axis=1)
-        sync_len = 144
-
-    n_sym = ann["n_payload_symbols"]
-    prev = (
-        head_syms[:, -1]
-        if head_syms.shape[1]
-        else np.full(n_batch, 1.0 + 0j)
-    )
-    if tenths == 10:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start)
-        psdu_onair = _diff_bits_batch(syms, prev)
-    elif tenths == 20:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start)
-        psdu_onair = _diff_dibits_batch(syms, prev)
-    elif tenths == 55:
-        psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK55_BANK, _CCK55_BITS
-        )
-    else:
-        psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK11_BANK, _CCK11_BITS
-        )
-
-    onair = np.concatenate([head_onair, psdu_onair], axis=1)
-    n_head_bits = head_onair.shape[1]
-    seed = ann.get("scrambler_seed", 0x6C)
-
-    results = []
-    for b in range(n_batch):
-        descrambled = bitlib.descramble_80211b(onair[b], seed=seed)
-        header_bits = descrambled[sync_len:n_head_bits]
-        header_ok = bool(
-            header_bits.size == 48
-            and np.array_equal(
-                bitlib.crc16_80211b_plcp(header_bits[:32]), header_bits[32:48]
-            )
-        )
-        signal = (
-            bitlib.int_from_bits(header_bits[:8])
-            if header_bits.size == 48
-            else 0
-        )
-        payload_bits = descrambled[n_head_bits:]
-        if n_payload_bits is not None:
-            payload_bits = payload_bits[:n_payload_bits]
-        results.append(
-            WifiBDecodeResult(
-                payload_bits=payload_bits,
-                onair_bits=psdu_onair[b].copy(),
-                header_ok=header_ok,
-                rate_mbps=_RATE_BY_SIGNAL.get(signal, rate),
-            )
-        )
-    return results
-
-
-@contracts.shapes("b,_ -> b,_,_")
-def _symbol_matrix_batch(
-    iq: np.ndarray, sym_len: int, n_symbols: int, start: int
-) -> np.ndarray:
-    """Batched :func:`_symbol_matrix`: ``(B, n_symbols, sym_len)``."""
-    end = start + n_symbols * sym_len
-    seg = iq[:, start:end]
-    if seg.shape[1] < n_symbols * sym_len:
-        seg = np.pad(seg, ((0, 0), (0, n_symbols * sym_len - seg.shape[1])))
-    return seg.reshape(iq.shape[0], n_symbols, sym_len)
-
-
-@contracts.shapes("b,_ -> b,_")
-def _despread_barker_batch(
-    iq: np.ndarray, sps: int, n_symbols: int, start: int
-) -> np.ndarray:
-    """Batched :func:`_despread_barker`: ``(B, n_symbols)`` symbols."""
-    chip_kernel = np.repeat(BARKER11, sps) / (11 * sps)
-    return _symbol_matrix_batch(iq, 11 * sps, n_symbols, start) @ chip_kernel
-
-
-@contracts.shapes("b,n ; b -> b,n")
-def _diff_bits_batch(symbols: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Batched :func:`_diff_bits` with a per-row previous symbol."""
-    prev_col = np.asarray(prev).reshape(-1, 1)
-    ref = np.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    return (np.real(symbols * np.conj(ref)) < 0).astype(np.uint8)
-
-
-@contracts.shapes("b,n ; b -> b,n*2")
-def _diff_dibits_batch(symbols: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Batched :func:`_diff_dibits`; rows of interleaved (d0, d1) bits."""
-    prev_col = np.asarray(prev).reshape(-1, 1)
-    ref = np.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    rot = symbols * np.conj(ref)
-    phase = np.mod(np.angle(rot) + np.pi / 4, 2 * np.pi)
-    quadrant = (phase // (np.pi / 2)).astype(int)
-    return _DQPSK_INV_LUT[quadrant].reshape(symbols.shape[0], -1)
-
-
-def _cck_decode_batch(
-    iq: np.ndarray,
-    sps: int,
-    n_symbols: int,
-    start: int,
-    prev: np.ndarray,
-    bank: np.ndarray,
-    bank_bits: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`_cck_decode` over stacked captures."""
-    n_batch = iq.shape[0]
-    if n_symbols == 0:
-        return np.zeros((n_batch, 0), dtype=np.uint8)
-    chips = (
-        _symbol_matrix_batch(iq, 8 * sps, n_symbols, start)
-        .reshape(n_batch, n_symbols, 8, sps)
-        .mean(axis=3)
-    )
-    corr = chips @ bank.conj().T  # (B, n_symbols, n_codewords)
-    best = np.argmax(np.abs(corr), axis=2)
-    corr_best = np.take_along_axis(corr, best[:, :, None], axis=2)[:, :, 0]
-
-    prev_col = np.asarray(prev).reshape(-1, 1)
-    ref = np.concatenate([prev_col, corr_best[:, :-1]], axis=1)
-    rot = corr_best * np.where(np.abs(ref) == 0, 1.0 + 0j, np.conj(ref))
-    phase = np.mod(np.angle(rot) + np.pi / 4, 2 * np.pi)
-    quadrant = (phase // (np.pi / 2)).astype(int)
-    return np.concatenate(
-        [_DQPSK_INV_LUT[quadrant], bank_bits[best]], axis=2
-    ).reshape(n_batch, -1)
+    require_batch(waves, "wifi_b.demodulate_batch")
+    return [demodulate(w, n_payload_bits=n_payload_bits) for w in waves]
 
 
 def demap_psdu_symbols(result: WifiBDecodeResult) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "WifiNConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "WifiNDecodeResult",
     "estimate_cfo",
@@ -627,109 +626,6 @@ def demodulate(
 # ----------------------------------------------------------------------
 # batched entry points
 # ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: WifiNConfig | None = None,
-) -> list[Waveform]:
-    """Modulate many PSDUs at once; bit-identical to per-packet calls.
-
-    Packets are grouped by PSDU bit length; each group shares one
-    preamble build and one fused OFDM assembly (interleave scatter,
-    constellation map, 64-point IFFT and CP insertion all carry a
-    leading batch axis).  The per-packet scramble/encode/puncture calls
-    are identical to the scalar path, so outputs match ``modulate``
-    exactly.
-    """
-    cfg = config or WifiNConfig()
-
-    def to_bits(payload: bytes | np.ndarray) -> np.ndarray:
-        if isinstance(payload, (bytes, bytearray)):
-            return bitlib.bits_from_bytes(payload)
-        return np.asarray(payload, dtype=np.uint8)
-
-    bit_arrays = [to_bits(p) for p in payloads]
-    return run_grouped(
-        bit_arrays,
-        key_fn=lambda b: b.size,
-        group_fn=lambda group: _modulate_group(group, cfg),
-        where="wifi_n.modulate_batch",
-    )
-
-
-def _modulate_group(psdus: Sequence[np.ndarray], cfg: WifiNConfig) -> list[Waveform]:
-    """Modulate a group of equal-length PSDUs with fused OFDM assembly."""
-    n_batch = len(psdus)
-    perf.dispatch("wifi_n.modulate", n_batch, batched=True)
-
-    psdu_size = psdus[0].size
-    n_unpadded = 16 + psdu_size + 6
-    n_sym = max(1, int(np.ceil(n_unpadded / cfg.n_dbps)))
-    pad = n_sym * cfg.n_dbps - n_unpadded
-    # The scalar path pads ``stream`` in place before annotating, so the
-    # recorded stream length is the padded one.
-    n_stream = n_sym * cfg.n_dbps
-
-    coded_rows = []
-    for psdu in psdus:
-        stream = np.concatenate(
-            [np.zeros(16, np.uint8), psdu, np.zeros(6 + pad, np.uint8)]
-        )
-        scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
-        coded_rows.append(convcode.puncture(convcode.encode(scrambled), cfg.coding_rate))
-    coded = np.stack(coded_rows)
-
-    blocks = coded.reshape(n_batch, n_sym, cfg.n_cbps)
-    perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
-    inter = np.empty_like(blocks)
-    inter[:, :, perm] = blocks
-    # _map_bits is elementwise over fixed-size bit groups, so mapping the
-    # flattened batch produces the same value per point as per-symbol calls.
-    points = _map_bits(inter.reshape(-1), cfg.constellation).reshape(
-        n_batch, n_sym, 52
-    )
-
-    spec = np.zeros((n_batch, n_sym, N_FFT), dtype=complex)
-    spec[:, :, HT_DATA_CARRIERS % N_FFT] = points
-    polarity = PILOT_POLARITY[(np.arange(n_sym) + 3) % PILOT_POLARITY.size]
-    spec[:, :, PILOT_CARRIERS % N_FFT] = (
-        PILOT_VALUES[None, None, :] * polarity[None, :, None]
-    )
-    body = np.fft.ifft(spec, axis=-1) * N_FFT / np.sqrt(52.0)
-    data = np.concatenate([body[:, :, -CP_LEN:], body], axis=2).reshape(n_batch, -1)
-
-    preamble = np.concatenate(
-        [
-            _l_stf(),
-            _l_ltf(),
-            _l_sig(0b1011, max(1, psdu_size // 8)),
-            _ht_sig(cfg.mcs, max(1, psdu_size // 8)),
-            _ht_stf(),
-            _ht_ltf(),
-        ]
-    )
-    payload_start = preamble.size
-    waves = []
-    for b in range(n_batch):
-        waves.append(
-            Waveform(
-                iq=np.concatenate([preamble, data[b]]),
-                sample_rate=cfg.sample_rate,
-                annotations={
-                    "protocol": Protocol.WIFI_N,
-                    "mcs": cfg.mcs,
-                    "payload_start": payload_start,
-                    "samples_per_symbol": SYMBOL_LEN,
-                    "n_payload_symbols": n_sym,
-                    "n_stream_bits": n_stream,
-                    "scrambler_seed": cfg.scrambler_seed,
-                    "ht_ltf_start": payload_start - SYMBOL_LEN,
-                },
-            )
-        )
-    return waves
-
-
 def demodulate_batch(
     waves: Sequence[Waveform],
     *,

@@ -35,7 +35,6 @@ __all__ = [
     "ZigbeeConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "estimate_cfo",
     "ZigbeeDecodeResult",
@@ -338,101 +337,6 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
 # ----------------------------------------------------------------------
 # batched entry points
 # ----------------------------------------------------------------------
-@contracts.shapes("b,n")
-@contracts.dtypes(np.uint8)
-def _oqpsk_waveform_batch(chips: np.ndarray, cfg: ZigbeeConfig) -> np.ndarray:
-    """Batched :func:`_oqpsk_waveform`: ``chips`` is ``(B, n_chips)``."""
-    bipolar = 2.0 * chips.astype(float) - 1.0
-    i_chips = bipolar[:, 0::2]
-    q_chips = bipolar[:, 1::2]
-    sps_ichip = 2 * cfg.samples_per_chip
-    p = pulse.half_sine_pulse(sps_ichip)
-    half = sps_ichip // 2
-    n_batch, n_chips = chips.shape
-    n_total = n_chips * cfg.samples_per_chip + half
-    # Writing I/Q straight into one complex buffer skips the separate
-    # i_wave/q_wave temporaries the per-packet path can afford but a
-    # batch cannot.  The final scaling stays a complex-by-real divide
-    # (NOT a pre-scaled pulse): numpy's complex division does not round
-    # like two per-component float divisions, and bit-identity with the
-    # scalar path requires the identical ufunc on identical operands.
-    wave = np.zeros((n_batch, n_total), dtype=complex)
-    wave.real[:, : i_chips.shape[1] * sps_ichip] = (
-        i_chips[:, :, None] * p
-    ).reshape(n_batch, -1)
-    wave.imag[:, half : half + q_chips.shape[1] * sps_ichip] = (
-        q_chips[:, :, None] * p
-    ).reshape(n_batch, -1)
-    return wave / np.sqrt(2.0)
-
-
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: ZigbeeConfig | None = None,
-    *,
-    include_fcs: bool = False,
-) -> list[Waveform]:
-    """Modulate N PSDUs with one vectorized dispatch per payload length.
-
-    Bit-identical to ``[modulate(p, config, include_fcs=...) for p in
-    payloads]`` -- every sample comes from the same elementwise
-    arithmetic, just with a leading batch axis (see
-    :mod:`repro.phy.batch` for the ragged-input grouping policy).
-    """
-    cfg = config or ZigbeeConfig()
-    all_bits = [_payload_bits(p, include_fcs=include_fcs) for p in payloads]
-    return run_grouped(
-        all_bits,
-        lambda b: b.size,
-        lambda group: _modulate_group(group, cfg, include_fcs=include_fcs),
-        where="zigbee.modulate_batch",
-    )
-
-
-def _modulate_group(
-    bits_group: list[BitArray], cfg: ZigbeeConfig, *, include_fcs: bool
-) -> list[Waveform]:
-    n_batch = len(bits_group)
-    perf.dispatch("zigbee.modulate", n_batch, batched=True)
-    bits = np.stack(bits_group)  # (B, n_bits) -- equal length by grouping
-    phr = bitlib.bits_from_int((bits.shape[1] // 8) & 0x7F, 8)
-    header_symbols = np.concatenate(
-        [
-            np.zeros(_N_PREAMBLE_SYMBOLS, dtype=np.uint8),
-            np.array(_SFD_SYMBOLS, dtype=np.uint8),
-            symbols_from_bits(phr),
-        ]
-    )
-    blocks = bits.reshape(n_batch, -1, 4)
-    payload_symbols = (blocks * np.array([1, 2, 4, 8], dtype=np.uint8)).sum(
-        axis=2
-    )
-    symbols = np.concatenate(
-        [np.tile(header_symbols, (n_batch, 1)), payload_symbols], axis=1
-    )
-    chips = PN_TABLE[symbols].reshape(n_batch, -1)
-    iq = _oqpsk_waveform_batch(chips, cfg)
-
-    samples_per_symbol = CHIPS_PER_SYMBOL * cfg.samples_per_chip
-    n_payload_symbols = payload_symbols.shape[1]
-    return [
-        Waveform(
-            iq=iq[b].copy(),
-            sample_rate=cfg.sample_rate,
-            annotations={
-                "protocol": Protocol.ZIGBEE,
-                "payload_start": header_symbols.size * samples_per_symbol,
-                "samples_per_symbol": samples_per_symbol,
-                "n_payload_symbols": n_payload_symbols,
-                "n_header_symbols": header_symbols.size,
-                "has_fcs": include_fcs,
-            },
-        )
-        for b in range(n_batch)
-    ]
-
-
 def demodulate_batch(
     waves: Sequence[Waveform], *, correct_cfo: bool = True
 ) -> list[ZigbeeDecodeResult]:

@@ -310,43 +310,8 @@ def _run_chunk(
     A trial exception is re-raised as :class:`TrialError` carrying the
     *global* trial index, so a failure three chunks deep in a pool
     still names the trial that caused it.
-
-    A trial exposing a callable ``run_batch(rngs) -> list[metrics]``
-    gets the whole chunk in one call: every trial still receives its
-    own independently spawned generator (seeding policy unchanged, so
-    values stay bit-identical to the per-trial path), only the kernel
-    dispatch is fused.  Per-trial fault injection points are checked
-    before the fused call so the deterministic fault harness covers
-    both paths.
     """
     faults.check("chunk", index=chunk_index, attempt=attempt)
-    run_batch = getattr(trial, "run_batch", None)
-    if callable(run_batch):
-        rngs: list[np.random.Generator] = []
-        for offset, seed_seq in enumerate(seeds):
-            trial_index = start + offset
-            try:
-                faults.check("trial", index=trial_index, attempt=attempt)
-            except Exception as exc:
-                raise TrialError(
-                    trial_index, attempt, f"{type(exc).__name__}: {exc}"
-                ) from exc
-            rngs.append(np.random.default_rng(seed_seq))
-        perf.count("mc.batched_chunks")
-        try:
-            fused = list(run_batch(rngs))
-        except Exception as exc:
-            raise TrialError(
-                start, attempt, f"{type(exc).__name__}: {exc}"
-            ) from exc
-        if len(fused) != len(seeds):
-            raise TrialError(
-                start,
-                attempt,
-                f"run_batch returned {len(fused)} results for "
-                f"{len(seeds)} trials",
-            )
-        return fused
     out: list[dict[str, float]] = []
     for offset, seed_seq in enumerate(seeds):
         trial_index = start + offset
@@ -395,12 +360,6 @@ class MonteCarlo:
     the identical seed list, so recovery never changes values.  The
     timeout applies to the pooled path only: a serial run cannot
     preempt its own trial.
-
-    A ``trial`` object that also exposes ``run_batch(rngs) ->
-    list[metrics]`` has each chunk dispatched as one fused call (one
-    generator per trial, spawned exactly as in the per-trial path);
-    see :func:`_run_chunk`.  Fused chunks are counted under
-    ``mc.batched_chunks`` in the ``REPRO_PERF=1`` report.
     """
 
     n_trials: int

@@ -1,12 +1,14 @@
-"""Batched PHY entry points vs loops over the single-packet kernels.
+"""Batched receivers vs loops over the single-packet kernels.
 
-The ``*_batch`` kernels promise bit-identical results to the scalar
-loop for every protocol (see ``repro.phy.batch`` for the ragged-input
-grouping policy).  These tests pin that contract at its edges -- N=1
-batches, ragged payload lengths, empty batches -- and with a
-hypothesis property that stacks randomized payload sets through both
-dispatch modes, demodulating noisy copies so the float-sensitive
-tracking loops (CFO, phase feedback, CPE) are actually exercised.
+The ``demodulate_batch`` receivers promise bit-identical results to
+the scalar loop for every protocol (see ``repro.phy.batch`` for the
+ragged-input grouping policy).  These tests pin that contract at its
+edges -- N=1 batches, ragged payload lengths, empty batches -- and
+with a hypothesis property that demodulates noisy copies of randomized
+payload sets, so the float-sensitive tracking loops (CFO, phase
+feedback, CPE) are actually exercised.  The gateway's decode entry
+point, ``OverlayDecoder.symbol_values_batch``, is pinned against the
+scalar decoder at the batch sizes the gateway runs.
 """
 
 import dataclasses
@@ -17,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.core.adc import Adc
-from repro.core.matching import score_capture, score_capture_batch
-from repro.core.templates import TemplateBank
+from repro.core.overlay import Mode, OverlayCodec, OverlayConfig
+from repro.core.overlay_decoder import OverlayDecoder
+from repro.core.tag_modulation import TagModulator
 from repro.phy import ble, viterbi, wifi_b, wifi_n, zigbee
+from repro.phy.protocols import Protocol
 from tests import reference_impls as ref
 
 PROTOCOL_MODULES = {
@@ -66,14 +69,9 @@ def _noisy(waves, seed):
 class TestRoundtripBatchEqualsScalar:
     def test_single_packet_batch(self, name):
         mod = PROTOCOL_MODULES[name]
-        payload = bytes(range(8))
-        waves = mod.modulate_batch([payload])
-        assert len(waves) == 1
-        scalar = mod.modulate(payload)
-        assert np.array_equal(waves[0].iq, scalar.iq)
-        got = mod.demodulate_batch(_noisy(waves, seed=3))[0]
-        want = mod.demodulate(_noisy([scalar], seed=3)[0])
-        assert _results_equal(got, want)
+        waves = _noisy([mod.modulate(bytes(range(8)))], seed=3)
+        (got,) = mod.demodulate_batch(waves)
+        assert _results_equal(got, mod.demodulate(waves[0]))
 
     def test_ragged_lengths_preserve_order(self, name):
         mod = PROTOCOL_MODULES[name]
@@ -82,19 +80,15 @@ class TestRoundtripBatchEqualsScalar:
             rng.integers(0, 256, size, dtype=np.uint8).tobytes()
             for size in (6, 4, 6, 9, 4)
         ]
-        waves = mod.modulate_batch(payloads)
-        scalars = [mod.modulate(p) for p in payloads]
-        for w, s in zip(waves, scalars):
-            assert np.array_equal(w.iq, s.iq)
-        got = mod.demodulate_batch(_noisy(waves, seed=11))
-        want = [mod.demodulate(w) for w in _noisy(scalars, seed=11)]
+        waves = _noisy([mod.modulate(p) for p in payloads], seed=11)
+        got = mod.demodulate_batch(waves)
+        want = [mod.demodulate(w) for w in waves]
+        assert len(got) == len(want)
         for g, r in zip(got, want):
             assert _results_equal(g, r)
 
     def test_empty_batch_raises(self, name):
         mod = PROTOCOL_MODULES[name]
-        with pytest.raises(ValueError, match="empty batch"):
-            mod.modulate_batch([])
         with pytest.raises(ValueError, match="empty batch"):
             mod.demodulate_batch([])
 
@@ -115,12 +109,9 @@ class TestRoundtripBatchEqualsScalar:
             for i in range(n_packets)
         ]
         seed = data.draw(st.integers(0, 2**16), label="noise_seed")
-        waves = mod.modulate_batch(payloads)
-        scalars = [mod.modulate(p) for p in payloads]
-        for w, s in zip(waves, scalars):
-            assert np.array_equal(w.iq, s.iq)
-        got = mod.demodulate_batch(_noisy(waves, seed))
-        want = [mod.demodulate(w) for w in _noisy(scalars, seed)]
+        waves = _noisy([mod.modulate(p) for p in payloads], seed)
+        got = mod.demodulate_batch(waves)
+        want = [mod.demodulate(w) for w in waves]
         for g, r in zip(got, want):
             assert _results_equal(g, r)
 
@@ -202,41 +193,31 @@ class TestViterbiBatch:
             perf.reset()
 
 
-class TestMatcherBatch:
-    @pytest.fixture(scope="class")
-    def bank(self):
-        return TemplateBank.build(Adc(sample_rate=10e6, n_bits=4))
+class TestOverlayDecoderBatch:
+    """``symbol_values_batch`` is what the gateway decodes through."""
 
-    def _captures(self, bank, rng, sizes):
-        need = bank.l_p + bank.l_m
-        return [rng.normal(size=need + extra) for extra in sizes]
-
-    @pytest.mark.parametrize("quantized", [False, True])
-    def test_batch_matches_scalar_loop(self, bank, quantized):
-        rng = np.random.default_rng(13)
-        captures = self._captures(bank, rng, (0, 40, 0, 7, 40))
-        offsets = tuple(range(0, 41, 8))
-        got = score_capture_batch(
-            captures, bank, quantized=quantized, offsets=offsets
+    def _received(self, codec, rng, n_prod):
+        wave = codec.build_carrier(rng.integers(0, 2, n_prod).astype(np.uint8))
+        _, n_tag = codec.capacity(wave.annotations["n_payload_symbols"])
+        mod = TagModulator(codec, frequency_shift_hz=10e6)
+        rx = mod.received_at_shifted_channel(
+            mod.modulate(wave, rng.integers(0, 2, n_tag).astype(np.uint8))
         )
-        want = [
-            score_capture(c, bank, quantized=quantized, offsets=offsets)
-            for c in captures
-        ]
-        assert got == want
+        rx.annotations = dict(wave.annotations)
+        return rx
 
-    def test_single_capture_batch(self, bank):
-        rng = np.random.default_rng(14)
-        (capture,) = self._captures(bank, rng, (3,))
-        (got,) = score_capture_batch([capture], bank, quantized=False)
-        assert got == score_capture(capture, bank, quantized=False)
-
-    def test_empty_batch_raises(self, bank):
-        with pytest.raises(ValueError, match="empty batch"):
-            score_capture_batch([], bank, quantized=False)
-
-    def test_too_short_capture_scores_sentinel(self, bank):
-        short = np.zeros(4)
-        (got,) = score_capture_batch([short], bank, quantized=False)
-        assert got == score_capture(short, bank, quantized=False)
-        assert all(v == -1.0 for v in got.values())
+    @pytest.mark.parametrize("n_batch", [1, 4])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_batch_matches_scalar_decoder(self, protocol, n_batch):
+        codec = OverlayCodec(OverlayConfig.for_mode(protocol, Mode.MODE_1))
+        rng = np.random.default_rng(17)
+        # One odd length, so B=4 is two dispatch groups (3 + 1).
+        sizes = (4, 4, 3, 4)[:n_batch]
+        waves = _noisy([self._received(codec, rng, n) for n in sizes], seed=19)
+        decoder = OverlayDecoder(codec)
+        got = decoder.symbol_values_batch(waves)
+        want = [decoder.symbol_values(w) for w in waves]
+        assert len(got) == n_batch
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))

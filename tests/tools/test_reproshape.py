@@ -797,10 +797,8 @@ class TestRepoClean:
         # The PHY batch kernels are actually *proven*, not just unflagged.
         assert statuses["repro.phy.viterbi._traceback_batch"] == "proven"
         assert statuses["repro.phy.viterbi.decode_batch"] == "proven"
-        assert statuses["repro.core.matching.score_capture_batch"] == "proven"
-        assert statuses["repro.phy.wifi_b._cck_codewords_batch"] == "proven"
 
     def test_shape_table_covers_known_kernels(self, result):
         by_fn = {e["function"]: e for e in result.table}
-        assert by_fn["repro.core.matching.score_capture_batch"]["mode"] == "ragged"
-        assert by_fn["repro.phy.wifi_b._cck_codewords_batch"]["out"] == ["b", "n", "8"]
+        assert by_fn["repro.phy.viterbi.decode_batch"]["mode"] == "ragged"
+        assert by_fn["repro.phy.wifi_n._estimate_channel_batch"]["out"] == ["b", "64"]
